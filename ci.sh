@@ -16,6 +16,11 @@ echo "==> cargo clippy --all-targets -- -D warnings -D deprecated"
 # back in silently.
 cargo clippy --offline --workspace --all-targets -- -D warnings -D deprecated
 
+echo "==> cargo doc with warnings denied"
+# Doc links are checked like code: a link to a renamed or deleted item
+# fails the gate instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 

@@ -23,7 +23,7 @@
 use std::time::{Duration, Instant};
 
 use nocsyn_model::json::JsonValue;
-use nocsyn_synth::{portfolio_rank, synthesize_attempt, AppPattern, SynthesisConfig};
+use nocsyn_synth::{portfolio_merge, synthesize_attempt, AppPattern, SynthesisConfig};
 use nocsyn_workloads::{Benchmark, WorkloadParams};
 
 /// One benchmark case of the harness.
@@ -121,7 +121,7 @@ fn run_case(case: &Case, config: &SynthesisConfig, iters: usize) -> Outcome {
     let mut best = None;
     let started = Instant::now();
     for _ in 0..iters {
-        for attempt in 0..config.restarts().max(1) {
+        for attempt in 0..config.restarts() {
             let result = synthesize_attempt(&pattern, config, attempt)
                 .expect("benchmark patterns are valid");
             moves_tried += result.report.moves_tried;
@@ -129,13 +129,7 @@ fn run_case(case: &Case, config: &SynthesisConfig, iters: usize) -> Outcome {
             reroutes_tried += result.report.reroutes_tried;
             reroutes_accepted += result.report.reroutes_accepted;
             reroutes_neutral += result.report.reroutes_neutral;
-            let rank = (portfolio_rank(&result), attempt);
-            if best
-                .as_ref()
-                .is_none_or(|(best_rank, _): &(_, nocsyn_synth::SynthesisResult)| rank < *best_rank)
-            {
-                best = Some((rank, result));
-            }
+            portfolio_merge(&mut best, attempt, result);
         }
     }
     let elapsed = started.elapsed();

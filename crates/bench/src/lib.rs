@@ -304,150 +304,6 @@ impl Fig8Row {
     }
 }
 
-pub mod timing {
-    //! A plain `std::time::Instant` micro-benchmark harness.
-    //!
-    //! The workspace carries no external bench framework; each file under
-    //! `benches/` (built with `harness = false`) drives this module from
-    //! its own `main`. Runs are budgeted by wall time per case, overridable
-    //! with `NOCSYN_BENCH_BUDGET_MS`, and cases can be filtered by a
-    //! substring argument (`cargo bench -p nocsyn-bench -- contention`).
-
-    use std::time::{Duration, Instant};
-
-    /// Timing summary of one benchmark case.
-    #[derive(Debug, Clone)]
-    pub struct Sample {
-        /// Case name as printed.
-        pub name: String,
-        /// Measured iterations (excludes the warmup call).
-        pub iters: u32,
-        /// Mean wall time per iteration.
-        pub mean: Duration,
-        /// Fastest single iteration.
-        pub min: Duration,
-    }
-
-    /// Bench runner: holds the per-case time budget and the case filter.
-    #[derive(Debug, Clone)]
-    pub struct Runner {
-        budget: Duration,
-        filter: Option<String>,
-    }
-
-    impl Runner {
-        /// Builds a runner from the process environment: the budget from
-        /// `NOCSYN_BENCH_BUDGET_MS` (default 300 ms per case) and the
-        /// filter from the first non-flag CLI argument. Flags — including
-        /// the `--bench` cargo passes to `harness = false` targets — are
-        /// ignored.
-        pub fn from_env() -> Self {
-            let budget = std::env::var("NOCSYN_BENCH_BUDGET_MS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .map_or(Duration::from_millis(300), Duration::from_millis);
-            let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-            Runner { budget, filter }
-        }
-
-        /// Sets the per-case time budget.
-        #[must_use]
-        pub fn with_budget(mut self, budget: Duration) -> Self {
-            self.budget = budget;
-            self
-        }
-
-        /// Runs one case: a warmup call, then repeated timed calls until
-        /// the budget is spent (at least 3, at most 100 000 iterations),
-        /// and prints one summary line. Returns `None` when the case is
-        /// filtered out.
-        pub fn case<T>(&self, name: &str, mut f: impl FnMut() -> T) -> Option<Sample> {
-            if let Some(needle) = &self.filter {
-                if !name.contains(needle.as_str()) {
-                    return None;
-                }
-            }
-            std::hint::black_box(f());
-            let mut iters = 0u32;
-            let mut total = Duration::ZERO;
-            let mut min = Duration::MAX;
-            while (total < self.budget && iters < 100_000) || iters < 3 {
-                let t = Instant::now();
-                std::hint::black_box(f());
-                let dt = t.elapsed();
-                total += dt;
-                min = min.min(dt);
-                iters += 1;
-            }
-            let sample = Sample {
-                name: name.to_string(),
-                iters,
-                mean: total / iters,
-                min,
-            };
-            println!(
-                "{:<48} mean {:>12} min {:>12} ({} iters)",
-                sample.name,
-                fmt_duration(sample.mean),
-                fmt_duration(sample.min),
-                sample.iters
-            );
-            Some(sample)
-        }
-    }
-
-    /// Formats a duration with a unit matched to its magnitude.
-    pub fn fmt_duration(d: Duration) -> String {
-        let ns = d.as_nanos();
-        if ns < 10_000 {
-            format!("{ns} ns")
-        } else if ns < 10_000_000 {
-            format!("{:.2} us", ns as f64 / 1_000.0)
-        } else if ns < 10_000_000_000 {
-            format!("{:.2} ms", ns as f64 / 1_000_000.0)
-        } else {
-            format!("{:.2} s", ns as f64 / 1_000_000_000.0)
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn case_runs_at_least_three_iters() {
-            let runner = Runner {
-                budget: Duration::ZERO,
-                filter: None,
-            };
-            let mut count = 0u32;
-            let sample = runner.case("tiny", || count += 1).unwrap();
-            assert_eq!(sample.iters, 3);
-            // 3 measured + 1 warmup.
-            assert_eq!(count, 4);
-            assert!(sample.min <= sample.mean);
-        }
-
-        #[test]
-        fn filter_skips_non_matching_cases() {
-            let runner = Runner {
-                budget: Duration::ZERO,
-                filter: Some("match-me".into()),
-            };
-            assert!(runner.case("other", || ()).is_none());
-            assert!(runner.case("does-match-me-too", || ()).is_some());
-        }
-
-        #[test]
-        fn durations_format_with_scaled_units() {
-            assert_eq!(fmt_duration(Duration::from_nanos(500)), "500 ns");
-            assert_eq!(fmt_duration(Duration::from_micros(120)), "120.00 us");
-            assert_eq!(fmt_duration(Duration::from_millis(45)), "45.00 ms");
-            assert_eq!(fmt_duration(Duration::from_secs(12)), "12.00 s");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

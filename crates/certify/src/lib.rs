@@ -1,7 +1,7 @@
 //! The independent certificate checker behind `nocsyn certify`.
 //!
 //! This crate validates a contention-freedom
-//! [`Certificate`](nocsyn_model::Certificate) against the pattern text it
+//! [`Certificate`] against the pattern text it
 //! claims to speak about, using **set arithmetic only**: it re-derives the
 //! potential contention set `C` and the maximum clique set `K` from the
 //! pattern with `nocsyn-model` primitives, then checks every `C ∩ R = ∅`

@@ -49,6 +49,6 @@ mod greedy;
 
 pub use bipartite::two_color;
 pub use exact::exact_chromatic;
-pub use fast::{fast_color, fast_color_directed, fast_color_directed_masks, fast_color_masks};
+pub use fast::{fast_color, fast_color_directed, fast_color_directed_masks};
 pub use graph::{Coloring, ConflictGraph};
 pub use greedy::greedy_dsatur;

@@ -21,6 +21,9 @@
 //!    application's contention set with the network's conflict set empty
 //!    (Theorem 1).
 //!
+//! [`Network`]: nocsyn_topo::Network
+//! [`RouteTable`]: nocsyn_topo::RouteTable
+//!
 //! # Example
 //!
 //! ```
@@ -83,8 +86,6 @@ pub use pattern::AppPattern;
 pub use report::SynthesisReport;
 pub use request::{RequestBuildError, SynthesisMode, SynthesisRequest, SynthesisRequestBuilder};
 
-use nocsyn_topo::{Network, RouteTable};
-
 /// The derived seed of restart `attempt` under `config`: the base seed
 /// advanced by the golden-ratio (splitmix) increment per attempt. Exposed
 /// so external schedulers (the `nocsyn-engine` restart portfolio) can
@@ -119,12 +120,12 @@ pub fn retry_seed(config: &SynthesisConfig, attempt: usize, retry: usize) -> u64
     out
 }
 
-/// Runs restart `attempt` of the portfolio: one full deterministic pass of
-/// the Main Partitioning Algorithm plus finalization, seeded with
-/// [`attempt_seed`]. The result is a pure function of
-/// `(pattern, config, attempt)` — independent of which thread runs it or
-/// in what order attempts complete, which is what makes the parallel
-/// portfolio in `nocsyn-engine` bit-identical to the sequential loop.
+/// Runs restart `attempt` of the portfolio: [`synthesize_from`] the
+/// mega-switch, seeded with [`attempt_seed`]. The result is a pure
+/// function of `(pattern, config, attempt)` — independent of which thread
+/// runs it or in what order attempts complete, which is what makes the
+/// parallel portfolio in `nocsyn-engine` bit-identical to the sequential
+/// loop.
 ///
 /// # Errors
 ///
@@ -135,29 +136,12 @@ pub fn synthesize_attempt(
     attempt: usize,
 ) -> Result<SynthesisResult, SynthError> {
     let run_config = config.clone().with_seed(attempt_seed(config, attempt));
-    synthesize_once(pattern, &run_config)
-}
-
-/// Runs `retry` of restart `attempt` — [`synthesize_attempt`] reseeded
-/// with [`retry_seed`]. Retry 0 is identical to the plain attempt.
-///
-/// # Errors
-///
-/// Same conditions as [`synthesize`].
-pub fn synthesize_retry(
-    pattern: &AppPattern,
-    config: &SynthesisConfig,
-    attempt: usize,
-    retry: usize,
-) -> Result<SynthesisResult, SynthError> {
-    let run_config = config.clone().with_seed(retry_seed(config, attempt, retry));
-    synthesize_once(pattern, &run_config)
+    synthesize_from(pattern, &run_config, None)
 }
 
 /// Portfolio selection rank of a result — lower is better: constraints
-/// met first, then fewest links, then fewest switches. Callers reducing
-/// over attempts must break rank ties on the *attempt index* (lowest
-/// wins) to reproduce [`synthesize`]'s first-best-kept semantics.
+/// met first, then fewest links, then fewest switches. [`portfolio_merge`]
+/// breaks rank ties on the attempt index.
 pub fn portfolio_rank(r: &SynthesisResult) -> (bool, usize, usize) {
     (
         !r.report.constraints_met, // met first
@@ -166,13 +150,31 @@ pub fn portfolio_rank(r: &SynthesisResult) -> (bool, usize, usize) {
     )
 }
 
+/// The portfolio reduction: folds restart `attempt`'s `result` into the
+/// best-so-far `(attempt, result)`, keeping the lower
+/// `(portfolio_rank, attempt)` — on equal rank the lowest attempt index
+/// wins. The minimum is independent of the order attempts are merged in,
+/// so a sequential loop and a thread pool select the same result.
+pub fn portfolio_merge(
+    best: &mut Option<(usize, SynthesisResult)>,
+    attempt: usize,
+    result: SynthesisResult,
+) {
+    let better = best.as_ref().is_none_or(|(best_attempt, best_result)| {
+        (portfolio_rank(&result), attempt) < (portfolio_rank(best_result), *best_attempt)
+    });
+    if better {
+        *best = Some((attempt, result));
+    }
+}
+
 /// Runs the full design methodology on `pattern` under `config`, producing
 /// a concrete network, a route table, and a synthesis report.
 ///
 /// Restarts run sequentially here; the `nocsyn-engine` portfolio fans the
 /// same attempt schedule ([`attempt_seed`]) across threads and reduces
-/// with the same rank ([`portfolio_rank`], ties on attempt index), so
-/// both paths select bit-identical results.
+/// with the same [`portfolio_merge`], so both paths select bit-identical
+/// results.
 ///
 /// # Errors
 ///
@@ -184,27 +186,42 @@ pub fn synthesize(
     pattern: &AppPattern,
     config: &SynthesisConfig,
 ) -> Result<SynthesisResult, SynthError> {
-    let mut best: Option<SynthesisResult> = None;
-    // `restarts()` is clamped to >= 1 by the builder, but stay panic-free
-    // even for configurations constructed by future code paths.
-    for attempt in 0..config.restarts().max(1) {
-        let result = synthesize_attempt(pattern, config, attempt)?;
-        if best
-            .as_ref()
-            .is_none_or(|b| portfolio_rank(&result) < portfolio_rank(b))
-        {
-            best = Some(result);
-        }
+    let mut best = None;
+    for attempt in 0..config.restarts() {
+        portfolio_merge(
+            &mut best,
+            attempt,
+            synthesize_attempt(pattern, config, attempt)?,
+        );
     }
-    Ok(best.expect("at least one attempt always runs"))
+    Ok(best.expect("restarts() is at least 1").1)
 }
 
-/// One full pass of the Main Partitioning Algorithm plus finalization.
-fn synthesize_once(
+/// One full pass of the Main Partitioning Algorithm plus finalization,
+/// seeded with `config.seed()` as given.
+///
+/// `start` is the initial processor placement (processor index → switch
+/// index). `None` starts from the paper's single mega-switch. A previous
+/// [`SynthesisResult::placement`] warm-starts run-time reconfiguration,
+/// so the new network stays as close to the old one as the new pattern
+/// permits; [`NetworkDelta::between`] on the two networks gives the edit
+/// script.
+///
+/// [`NetworkDelta::between`]: nocsyn_topo::NetworkDelta::between
+///
+/// # Errors
+///
+/// [`SynthError::EmptyPattern`] if the pattern has no processors or
+/// `start` does not cover them.
+pub fn synthesize_from(
     pattern: &AppPattern,
     config: &SynthesisConfig,
+    start: Option<&[usize]>,
 ) -> Result<SynthesisResult, SynthError> {
-    let mut partitioning = Partitioning::megaswitch(pattern)?;
+    let mut partitioning = match start {
+        Some(placement) => Partitioning::from_assignment(pattern, placement)?,
+        None => Partitioning::megaswitch(pattern)?,
+    };
     partition::run(&mut partitioning, config);
     let mut result = finalize::materialize(&partitioning, config)?;
 
@@ -221,52 +238,6 @@ fn synthesize_once(
         retries += 1;
     }
     Ok(result)
-}
-
-/// Warm-started synthesis for run-time reconfiguration: starts from an
-/// existing processor placement (e.g. a previous
-/// [`SynthesisResult::placement`]) instead of the mega-switch, so the new
-/// network stays as close to the old one as the new pattern permits. Use
-/// [`NetworkDelta::between`] on the two networks to obtain the
-/// reconfiguration edit script.
-///
-/// Unlike [`synthesize`], this performs a single deterministic run (no
-/// restarts): the whole point is continuity with the starting placement.
-///
-/// [`NetworkDelta::between`]: nocsyn_topo::NetworkDelta::between
-///
-/// # Errors
-///
-/// [`SynthError::EmptyPattern`] if the pattern has no processors or the
-/// placement does not cover them.
-pub fn synthesize_incremental(
-    pattern: &AppPattern,
-    placement: &[usize],
-    config: &SynthesisConfig,
-) -> Result<SynthesisResult, SynthError> {
-    let mut partitioning = Partitioning::from_assignment(pattern, placement)?;
-    partition::run(&mut partitioning, config);
-    let mut result = finalize::materialize(&partitioning, config)?;
-    let mut retries = 0;
-    while !result.report.constraints_met && retries < 2 {
-        let exact = config.clone().with_coloring(ColoringStrategy::Exact);
-        partition::run(&mut partitioning, &exact);
-        result = finalize::materialize(&partitioning, config)?;
-        retries += 1;
-    }
-    Ok(result)
-}
-
-/// Convenience: synthesize and return only the `(network, routes)` pair.
-///
-/// # Errors
-///
-/// Same conditions as [`synthesize`].
-pub fn synthesize_network(
-    pattern: &AppPattern,
-    config: &SynthesisConfig,
-) -> Result<(Network, RouteTable), SynthError> {
-    synthesize(pattern, config).map(|r| (r.network, r.routes))
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! (with real parallel links) is only materialized at finalization.
 //!
 //! Pipes live in append-only *slots* addressed through a
-//! [`ResourceInterner`], and every flow carries a [`RouteSet`] footprint
+//! [`ResourceInterner`], and every flow carries a [`BitSet`] footprint
 //! of the directed pipe resources its path crosses (resource id =
 //! `slot * 2 + direction`). A candidate reroute therefore never walks the
 //! pipe map: its old crossings come straight from the footprint, its new
@@ -25,7 +25,7 @@ use std::fmt;
 
 use nocsyn_coloring::{exact_chromatic, fast_color_directed_masks, ConflictGraph};
 use nocsyn_model::{
-    ContentionSet, Flow, FlowInterner, FlowSet, FxBuildHasher, ProcId, ResourceInterner, RouteSet,
+    BitSet, ContentionSet, Flow, FlowInterner, FxBuildHasher, ProcId, ResourceInterner,
 };
 use nocsyn_rng::Rng;
 
@@ -88,15 +88,15 @@ fn pipe_key_code(key: PipeKey) -> u64 {
     ((key.lo as u64) << 32) | key.hi as u64
 }
 
-/// The communications crossing one pipe (as [`FlowSet`] bitmasks over the
+/// The communications crossing one pipe (as [`BitSet`] bitmasks over the
 /// pattern's interned flow ids), with its current per-direction link
 /// estimates. Slots persist after a pipe drains (empty sets, zero links)
 /// so footprint resource ids stay stable for the whole search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PipeState {
     pub(crate) key: PipeKey,
-    pub(crate) forward: FlowSet,
-    pub(crate) backward: FlowSet,
+    pub(crate) forward: BitSet,
+    pub(crate) backward: BitSet,
     /// Population counts of `forward` / `backward`, maintained on every
     /// toggle so emptiness tests never scan the bitset words.
     fwd_n: usize,
@@ -115,8 +115,8 @@ impl PipeState {
     fn new(key: PipeKey, universe: usize) -> Self {
         PipeState {
             key,
-            forward: FlowSet::new(universe),
-            backward: FlowSet::new(universe),
+            forward: BitSet::with_capacity(universe),
+            backward: BitSet::with_capacity(universe),
             fwd_n: 0,
             bwd_n: 0,
             fwd_gen: 0,
@@ -175,7 +175,7 @@ pub struct Partitioning {
     /// `pattern.cliques()` compiled to bitmasks over `interner`, once per
     /// partitioning — the `Fast_Color` hot path is AND + popcount against
     /// these.
-    clique_masks: Vec<FlowSet>,
+    clique_masks: Vec<BitSet>,
     /// Processor index → flow indices with that processor as an endpoint
     /// (ascending), precomputed so moves don't rescan the flow list.
     proc_flows: Vec<Vec<usize>>,
@@ -195,7 +195,7 @@ pub struct Partitioning {
     /// Flow index → footprint of directed pipe resources its path crosses
     /// (resource id = `slot * 2 + direction`), maintained by XOR-toggle in
     /// lock-step with `paths`.
-    footprints: Vec<RouteSet>,
+    footprints: Vec<BitSet>,
     /// Switch index → sum of link estimates of incident pipes, maintained
     /// by [`Partitioning::recompute_pipe_slot`] so [`Partitioning::degree`]
     /// is O(1) instead of a scan over the pipe map.
@@ -215,7 +215,7 @@ pub struct Partitioning {
     probe_toggles: Vec<usize>,
     probe_switches: Vec<(usize, isize, isize)>,
     /// Reused bitset holding a probed direction's crossing set.
-    dir_scratch: FlowSet,
+    dir_scratch: BitSet,
     /// Generation-checked memo of flipped-direction estimates, keyed by
     /// `(slot, direction, flow)` packed into one word. Entries are valid
     /// while the direction's edit generation matches; stale entries are
@@ -225,10 +225,10 @@ pub struct Partitioning {
     /// function of the set (clique masks are fixed per pattern), so caching
     /// changes no computed value — it only spares the mask sweep when the
     /// annealed reroute loop revisits a set, which it does constantly.
-    fast_cache: HashMap<FlowSet, usize, FxBuildHasher>,
+    fast_cache: HashMap<BitSet, usize, FxBuildHasher>,
     /// Memoized exact chromatic numbers per crossing set (same purity
     /// argument as `fast_cache`, for the branch-and-bound).
-    chi_cache: HashMap<FlowSet, usize, FxBuildHasher>,
+    chi_cache: HashMap<BitSet, usize, FxBuildHasher>,
     /// Committed score memo, invalidated by every mutation; `Cell` so the
     /// historically-`&self` [`Partitioning::score`] can fill it.
     score_memo: Cell<Option<ScoreMemo>>,
@@ -277,12 +277,12 @@ fn intern_pipe_slot(
 /// returns, so hits change no computed value.
 fn estimate_dir(
     strategy: ColoringStrategy,
-    clique_masks: &[FlowSet],
+    clique_masks: &[BitSet],
     interner: &FlowInterner,
     contention: &ContentionSet,
-    fast_cache: &mut HashMap<FlowSet, usize, FxBuildHasher>,
-    chi_cache: &mut HashMap<FlowSet, usize, FxBuildHasher>,
-    set: &FlowSet,
+    fast_cache: &mut HashMap<BitSet, usize, FxBuildHasher>,
+    chi_cache: &mut HashMap<BitSet, usize, FxBuildHasher>,
+    set: &BitSet,
 ) -> usize {
     if set.is_empty() {
         return 0;
@@ -316,50 +316,12 @@ impl Partitioning {
     ///
     /// [`SynthError::EmptyPattern`] if the pattern has no processors.
     pub fn megaswitch(pattern: &AppPattern) -> Result<Self, SynthError> {
-        if pattern.n_procs() == 0 {
-            return Err(SynthError::EmptyPattern);
-        }
-        let n = pattern.n_procs();
-        let n_flows = pattern.flows().len();
-        let interner = FlowInterner::from_sorted_flows(pattern.flows().to_vec());
-        let clique_masks = pattern.cliques().compile_masks(&interner);
-        let proc_flows = proc_flow_table(pattern);
-        let paths = vec![vec![0]; n_flows];
-        Ok(Partitioning {
-            pattern: pattern.clone(),
-            strategy: ColoringStrategy::Fast,
-            home: vec![0; n],
-            members: vec![(0..n).map(ProcId).collect()],
-            paths,
-            interner,
-            clique_masks,
-            proc_flows,
-            pipe_ids: ResourceInterner::new(),
-            pipe_lookup: vec![u32::MAX],
-            pipe_stride: 1,
-            pipe_slots: Vec::new(),
-            live_pipes: BTreeMap::new(),
-            footprints: vec![RouteSet::new(); n_flows],
-            incident_links: vec![0],
-            incident_pipes: vec![0],
-            switch_live: vec![true],
-            live_switch_count: 1,
-            touched_scratch: Vec::new(),
-            probe_toggles: Vec::new(),
-            probe_switches: Vec::new(),
-            dir_scratch: FlowSet::new(n_flows),
-            probe_cache: HashMap::default(),
-            fast_cache: HashMap::default(),
-            chi_cache: HashMap::default(),
-            score_memo: Cell::new(None),
-            total_links: 0,
-            stats: SearchStats::default(),
-        })
+        Self::from_assignment(pattern, &vec![0; pattern.n_procs()])
     }
 
     /// Builds a partitioning from an explicit processor-to-switch
     /// assignment with direct routing — the warm start used by
-    /// [`synthesize_incremental`](crate::synthesize_incremental).
+    /// [`synthesize_from`](crate::synthesize_from).
     ///
     /// # Errors
     ///
@@ -393,7 +355,7 @@ impl Partitioning {
             touched_scratch: Vec::new(),
             probe_toggles: Vec::new(),
             probe_switches: Vec::new(),
-            dir_scratch: FlowSet::new(n_flows),
+            dir_scratch: BitSet::with_capacity(n_flows),
             probe_cache: HashMap::default(),
             fast_cache: HashMap::default(),
             chi_cache: HashMap::default(),
@@ -404,7 +366,7 @@ impl Partitioning {
             pipe_stride: n_switches,
             pipe_slots: Vec::new(),
             live_pipes: BTreeMap::new(),
-            footprints: vec![RouteSet::new(); n_flows],
+            footprints: vec![BitSet::new(); n_flows],
             total_links: 0,
             stats: SearchStats::default(),
         };
@@ -473,7 +435,7 @@ impl Partitioning {
     /// The flows crossing `pipe` in its forward and backward directions,
     /// as bitsets over [`Partitioning::interner`] ids (iterating a set
     /// yields ids in ascending order — lexicographic flow order).
-    pub fn pipe_flows(&self, pipe: PipeKey) -> Option<(&FlowSet, &FlowSet)> {
+    pub fn pipe_flows(&self, pipe: PipeKey) -> Option<(&BitSet, &BitSet)> {
         self.live_pipes.get(&pipe).map(|&slot| {
             let st = &self.pipe_slots[slot];
             (&st.forward, &st.backward)
@@ -1000,7 +962,7 @@ impl Partitioning {
     /// From-scratch link estimate of one direction (no caches) — the
     /// reference the consistency oracle compares incremental state against.
     #[cfg(test)]
-    fn estimate_dir_uncached(&self, set: &FlowSet) -> usize {
+    fn estimate_dir_uncached(&self, set: &BitSet) -> usize {
         match self.strategy {
             ColoringStrategy::Fast => fast_color_directed_masks(&self.clique_masks, set),
             ColoringStrategy::Exact => {
@@ -1023,7 +985,7 @@ impl Partitioning {
     #[cfg(test)]
     pub(crate) fn assert_consistent(&self) {
         let universe = self.paths.len();
-        let mut expect: BTreeMap<PipeKey, (FlowSet, FlowSet)> = BTreeMap::new();
+        let mut expect: BTreeMap<PipeKey, (BitSet, BitSet)> = BTreeMap::new();
         for (idx, path) in self.paths.iter().enumerate() {
             let flow = self.pattern.flows()[idx];
             assert_eq!(path[0], self.home[flow.src.index()], "path start mismatch");
@@ -1034,9 +996,12 @@ impl Partitioning {
             );
             for w in path.windows(2) {
                 let key = PipeKey::new(w[0], w[1]);
-                let e = expect
-                    .entry(key)
-                    .or_insert_with(|| (FlowSet::new(universe), FlowSet::new(universe)));
+                let e = expect.entry(key).or_insert_with(|| {
+                    (
+                        BitSet::with_capacity(universe),
+                        BitSet::with_capacity(universe),
+                    )
+                });
                 if key.forward_from(w[0]) {
                     e.0.insert(idx);
                 } else {
@@ -1096,7 +1061,7 @@ impl Partitioning {
         );
         assert_eq!(self.total_links, total, "total_links out of sync");
         for (idx, path) in self.paths.iter().enumerate() {
-            let mut fp = RouteSet::new();
+            let mut fp = BitSet::new();
             for w in path.windows(2) {
                 let key = PipeKey::new(w[0], w[1]);
                 let slot = self

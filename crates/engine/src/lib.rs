@@ -10,10 +10,10 @@
 //! * every restart attempt is a pure function of
 //!   `(pattern, config, attempt)` (see `nocsyn_synth::synthesize_attempt`),
 //!   so it does not matter which thread runs it;
-//! * the reduction is a stable argmin over
-//!   `(portfolio_rank(result), attempt)` — rank ties break on the lowest
-//!   attempt index, exactly reproducing the sequential loop's
-//!   first-best-kept choice.
+//! * the reduction is `nocsyn_synth::portfolio_merge`, a stable argmin
+//!   over `(portfolio_rank(result), attempt)` — rank ties break on the
+//!   lowest attempt index — the same function the sequential
+//!   `synthesize` loop folds with.
 //!
 //! [`Engine::run`] takes a batch of [`Job`]s and returns one
 //! [`JobOutcome`] per job, in job order. Work is scheduled at restart
@@ -96,8 +96,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use nocsyn_synth::{
-    auto_cluster_count, cluster_config, cluster_pattern, portfolio_rank, retry_seed, stitch,
-    synthesize_retry, AppPattern, ClusterPlan, DecompositionSummary, SynthError, SynthesisConfig,
+    auto_cluster_count, cluster_config, cluster_pattern, portfolio_merge, retry_seed, stitch,
+    synthesize_from, AppPattern, ClusterPlan, DecompositionSummary, SynthError, SynthesisConfig,
     SynthesisMode, SynthesisRequest, SynthesisResult,
 };
 
@@ -191,12 +191,6 @@ struct ExecJob {
     deadline: Option<Duration>,
     retry: RetryPolicy,
     injected_panics: BTreeSet<usize>,
-}
-
-impl ExecJob {
-    fn attempts(&self) -> usize {
-        self.config.restarts().max(1)
-    }
 }
 
 /// How a job's exec sub-jobs fold back into one [`JobOutcome`].
@@ -598,9 +592,12 @@ impl Engine {
         let units: Vec<(usize, usize)> = execs
             .iter()
             .enumerate()
-            .flat_map(|(ei, exec)| (0..exec.attempts()).map(move |attempt| (ei, attempt)))
+            .flat_map(|(ei, exec)| (0..exec.config.restarts()).map(move |attempt| (ei, attempt)))
             .collect();
-        let states: Vec<JobState> = execs.iter().map(|e| JobState::new(e.attempts())).collect();
+        let states: Vec<JobState> = execs
+            .iter()
+            .map(|e| JobState::new(e.config.restarts()))
+            .collect();
         let cursor = AtomicUsize::new(0);
         let sink = SinkGuard::new(self.sink.as_ref());
         if !units.is_empty() {
@@ -728,19 +725,20 @@ impl Engine {
             if retry > 0 && !job.retry.backoff.is_zero() {
                 thread::sleep(job.retry.backoff);
             }
+            let seed = retry_seed(&job.config, attempt, retry);
             let t0 = Instant::now();
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
                 if retry == 0 && job.injected_panics.contains(&attempt) {
                     panic!("injected panic (attempt {attempt})");
                 }
-                synthesize_retry(&job.pattern, &job.config, attempt, retry)
+                synthesize_from(&job.pattern, &job.config.clone().with_seed(seed), None)
             }));
             match outcome {
                 Ok(Ok(result)) => {
                     sink.emit(&EngineEvent::RestartCompleted {
                         job: job.name.clone(),
                         attempt,
-                        seed: retry_seed(&job.config, attempt, retry),
+                        seed,
                         links: result.report.n_links,
                         switches: result.report.n_switches,
                         constraints_met: result.report.constraints_met,
@@ -752,13 +750,7 @@ impl Engine {
                         .moves
                         .fetch_add(result.report.moves_tried, Ordering::AcqRel);
                     let mut best = state.best.lock().expect("engine lock never poisoned");
-                    let better = best.as_ref().is_none_or(|(best_attempt, best_result)| {
-                        (portfolio_rank(&result), attempt)
-                            < (portfolio_rank(best_result), *best_attempt)
-                    });
-                    if better {
-                        *best = Some((attempt, result));
-                    }
+                    portfolio_merge(&mut best, attempt, result);
                     return;
                 }
                 Ok(Err(e)) => last_error = Some(JobError::Synth(e)),

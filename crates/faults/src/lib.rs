@@ -10,9 +10,10 @@
 //! 1. [`FaultScenario`] names a set of dead links and switches — sampled
 //!    deterministically from a seed via `nocsyn-rng`, or enumerated
 //!    exhaustively over every single-element fault.
-//! 2. [`repair_routes`] re-routes the affected flows of a [`RouteTable`]
-//!    over the surviving subgraph (shortest-path fallback via
-//!    `shortest_route_avoiding`), keeping unaffected routes untouched.
+//! 2. [`repair_routes`] re-routes the affected flows of a
+//!    [`RouteTable`](nocsyn_topo::RouteTable) over the surviving subgraph
+//!    (shortest-path fallback via `shortest_route_avoiding`), keeping
+//!    unaffected routes untouched.
 //!    Flows with no surviving path come back as structured
 //!    [`DisconnectionWitness`]es.
 //! 3. [`DegradationReport::analyze`] re-runs `verify_contention_free` on

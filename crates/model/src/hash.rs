@@ -1,7 +1,7 @@
 //! Deterministic, fast hashing for hot-path lookup tables.
 //!
 //! The synthesis inner loops key memo tables by small integers and by
-//! bitset words ([`FlowSet`](crate::FlowSet) crossing sets, interned
+//! bitset words ([`BitSet`](crate::BitSet) crossing sets, interned
 //! resource keys). The standard library's default SipHash is designed to
 //! resist hash-flooding from untrusted keys; these tables only ever hold
 //! keys the search itself generated, so that robustness buys nothing and

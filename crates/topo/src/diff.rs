@@ -31,7 +31,8 @@ impl NetworkDelta {
     ///
     /// Switch indices are compared positionally, so the result is
     /// meaningful when both networks come from placement-stable synthesis
-    /// (see `synthesize_incremental` in `nocsyn-synth`).
+    /// (see `synthesize_from` with a starting placement in
+    /// `nocsyn-synth`).
     ///
     /// # Panics
     ///

@@ -9,7 +9,7 @@
 //! verdict of the contention pairs that *mention* that flow. The
 //! [`IncrementalChecker`] exploits exactly that:
 //!
-//! * every routed flow carries a [`RouteSet`] *footprint* — a dense
+//! * every routed flow carries a [`BitSet`] *footprint* — a dense
 //!   bitset over channel ids interned by a [`ResourceInterner`]
 //!   (key = `link * 2 + direction`);
 //! * the violated subset of `C` is kept as a sorted set of
@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use nocsyn_model::{ContentionSet, Flow, FlowPair, ResourceInterner, RouteSet};
+use nocsyn_model::{BitSet, ContentionSet, Flow, FlowPair, ResourceInterner};
 
 use crate::verify::ContentionReport;
 use crate::{Channel, ContentionWitness, Direction, Route, RouteTable};
@@ -73,7 +73,7 @@ pub struct IncrementalChecker {
     interner: ResourceInterner,
     routes: RouteTable,
     /// One footprint per *routed* flow (keys mirror `routes` exactly).
-    footprints: BTreeMap<Flow, RouteSet>,
+    footprints: BTreeMap<Flow, BitSet>,
     /// The violated subset of `C`, kept sorted so reports iterate in
     /// the same order as the exact checker.
     violations: BTreeSet<FlowPair>,
@@ -128,7 +128,7 @@ impl IncrementalChecker {
     /// previous route; only contention pairs mentioning `flow` are
     /// re-evaluated.
     pub fn set_route(&mut self, flow: Flow, route: Route) -> Option<Route> {
-        let mut footprint = RouteSet::new();
+        let mut footprint = BitSet::new();
         for ch in route.iter() {
             footprint.insert(self.interner.intern(channel_key(ch)));
         }
@@ -226,7 +226,7 @@ impl IncrementalChecker {
             "footprint keys out of sync with the route table"
         );
         for (flow, route) in self.routes.iter() {
-            let mut expect = RouteSet::new();
+            let mut expect = BitSet::new();
             for ch in route.iter() {
                 let id = self
                     .interner

@@ -24,13 +24,13 @@ pub mod prelude {
     };
     pub use nocsyn_floorplan::place;
     pub use nocsyn_model::{
-        parse_schedule, parse_trace, Flow, FlowInterner, FlowSet, ParseLimits, ParseOptions, Phase,
+        parse_schedule, parse_trace, BitSet, Flow, FlowInterner, ParseLimits, ParseOptions, Phase,
         PhaseSchedule, ProcId, Trace,
     };
     pub use nocsyn_sim::{AppDriver, RoutePolicy, SimConfig};
     pub use nocsyn_synth::{
-        synthesize, synthesize_network, AppPattern, ColoringStrategy, SynthesisConfig,
-        SynthesisMode, SynthesisRequest, SynthesisResult,
+        synthesize, AppPattern, ColoringStrategy, SynthesisConfig, SynthesisMode, SynthesisRequest,
+        SynthesisResult,
     };
     pub use nocsyn_topo::{verify_contention_free, Network};
     pub use nocsyn_workloads::{Benchmark, WorkloadParams};

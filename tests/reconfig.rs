@@ -5,7 +5,7 @@
 use nocsyn::certify::{check_certificate, CheckOptions};
 use nocsyn::faults::{repair_routes, route_is_affected, DegradationReport, FaultScenario};
 use nocsyn::model::format_schedule;
-use nocsyn::synth::{synthesize, synthesize_incremental, AppPattern, SynthesisConfig};
+use nocsyn::synth::{synthesize, synthesize_from, AppPattern, SynthesisConfig};
 use nocsyn::topo::{build_certificate, verify_contention_free, NetworkDelta};
 use nocsyn::workloads::{Benchmark, WorkloadParams};
 
@@ -22,7 +22,7 @@ fn incremental_synthesis_is_valid_and_contention_free() {
     let config = SynthesisConfig::new().with_seed(0x1E).with_restarts(2);
 
     let base = synthesize(&cg, &config).unwrap();
-    let warm = synthesize_incremental(&mg, &base.placement, &config).unwrap();
+    let warm = synthesize_from(&mg, &config, Some(&base.placement)).unwrap();
 
     assert!(warm.network.is_strongly_connected());
     warm.routes.validate(&warm.network).unwrap();
@@ -37,7 +37,7 @@ fn warm_start_changes_less_than_cold_start() {
     let config = SynthesisConfig::new().with_seed(0x1F).with_restarts(2);
 
     let base = synthesize(&cg, &config).unwrap();
-    let warm = synthesize_incremental(&mg, &base.placement, &config).unwrap();
+    let warm = synthesize_from(&mg, &config, Some(&base.placement)).unwrap();
     let cold = synthesize(&mg, &config).unwrap();
 
     let warm_delta = NetworkDelta::between(&base.network, &warm.network);
@@ -179,7 +179,7 @@ fn identity_reconfiguration_when_pattern_unchanged() {
     let cg = AppPattern::from_schedule(&Benchmark::Cg.schedule(8, &light(Benchmark::Cg)).unwrap());
     let config = SynthesisConfig::new().with_seed(0x20).with_restarts(2);
     let base = synthesize(&cg, &config).unwrap();
-    let again = synthesize_incremental(&cg, &base.placement, &config).unwrap();
+    let again = synthesize_from(&cg, &config, Some(&base.placement)).unwrap();
     // Same pattern from the same placement: no processor moves at all,
     // and the constraint is already satisfied so no splits happen.
     let delta = NetworkDelta::between(&base.network, &again.network);
