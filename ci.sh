@@ -27,6 +27,12 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> nocbench builds and its tests pass against the workspace crates"
+# The repo benchmark is a separate package that builds the workspace
+# crates from source; a renamed public item must fail here, not at
+# benchmark time.
+cargo test --release --offline --manifest-path nocbench/Cargo.toml
+
 echo "==> no-unwrap gate: clippy -D clippy::unwrap_used on faults + engine + model + fuzz + coloring + bench + synth + topo + serve + certify"
 cargo clippy --offline -p nocsyn-faults -p nocsyn-engine -p nocsyn-model -p nocsyn-fuzz \
     -p nocsyn-coloring -p nocsyn-bench -p nocsyn-synth -p nocsyn-topo -p nocsyn-serve \

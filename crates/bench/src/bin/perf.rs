@@ -1,5 +1,5 @@
-//! Synthesis hot-path performance harness: wall time and moves/sec for
-//! the annealing search on CG16 / MG8 / FFT16.
+//! Synthesis hot-path performance harness: wall time, reroute probes/sec
+//! and moves/sec for the search on CG16 / MG8 / FFT16.
 //!
 //! Usage: `perf [--json] [--seed S] [--iters N]`.
 //!
@@ -12,8 +12,10 @@
 //!   all restarts and iterations. No wall-clock fields, so same-seed runs
 //!   are byte-identical (CI diffs two runs).
 //! * human mode (stdout) / `--json` companion (stderr): measured wall
-//!   time and moves/sec, which vary run to run and stay out of the
-//!   byte-compared artifact.
+//!   time per case, reroute probes/sec (`reroutes_tried` over the wall
+//!   time: the reroute anneal is where FFT16 spends its time) and
+//!   moves/sec. These vary run to run and stay out of the byte-compared
+//!   artifact.
 //!
 //! The portfolio is driven through `synthesize_attempt` rather than
 //! `synthesize` so the harness can sum `moves_tried` over *every* restart
@@ -150,10 +152,11 @@ fn run_case(case: &Case, config: &SynthesisConfig, iters: usize) -> Outcome {
     }
 }
 
-fn moves_per_sec(o: &Outcome) -> f64 {
+/// `count` units of work per second of the case's wall time.
+fn per_sec(o: &Outcome, count: usize) -> f64 {
     let secs = o.elapsed.as_secs_f64();
     if secs > 0.0 {
-        o.moves_tried as f64 / secs
+        count as f64 / secs
     } else {
         0.0
     }
@@ -195,27 +198,38 @@ fn main() {
         // deterministic.
         for o in &outcomes {
             eprintln!(
-                "# {}: {:.1} ms, {:.0} moves/s",
+                "# {}: {:.1} ms, {:.0} reroute probes/s, {:.0} moves/s",
                 o.name,
                 o.elapsed.as_secs_f64() * 1e3,
-                moves_per_sec(o)
+                per_sec(o, o.reroutes_tried),
+                per_sec(o, o.moves_tried)
             );
         }
     } else {
         println!("synthesis perf (seed {}, iters {})", opts.seed, opts.iters);
         println!(
-            "{:<6} {:>6} {:>6} {:>8} {:>12} {:>10} {:>12}",
-            "case", "links", "switch", "moves", "elapsed ms", "moves/s", "constraints"
+            "{:<6} {:>6} {:>6} {:>8} {:>9} {:>12} {:>10} {:>10} {:>12}",
+            "case",
+            "links",
+            "switch",
+            "moves",
+            "probes",
+            "elapsed ms",
+            "probes/s",
+            "moves/s",
+            "constraints"
         );
         for o in &outcomes {
             println!(
-                "{:<6} {:>6} {:>6} {:>8} {:>12.1} {:>10.0} {:>12}",
+                "{:<6} {:>6} {:>6} {:>8} {:>9} {:>12.1} {:>10.0} {:>10.0} {:>12}",
                 o.name,
                 o.links,
                 o.switches,
                 o.moves_tried,
+                o.reroutes_tried,
                 o.elapsed.as_secs_f64() * 1e3,
-                moves_per_sec(o),
+                per_sec(o, o.reroutes_tried),
+                per_sec(o, o.moves_tried),
                 if o.constraints_met { "met" } else { "MISSED" }
             );
         }

@@ -229,13 +229,18 @@ pub fn synthesize_from(
     // fast estimate, re-violating the degree constraint — in that case
     // partitioning resumes. Re-running with exact coloring makes the
     // search's degree estimates equal the finalized ones, so this loop
-    // converges for any satisfiable constraint.
+    // converges for any satisfiable constraint. A retry that left the
+    // search state unchanged ends the loop: the next one would start from
+    // the same state under the same seed and strategy, and replay it.
+    let exact = config.clone().with_coloring(ColoringStrategy::Exact);
     let mut retries = 0;
     while !result.report.constraints_met && retries < 2 {
-        let exact = config.clone().with_coloring(ColoringStrategy::Exact);
-        partition::run(&mut partitioning, &exact);
+        let moved = partition::run(&mut partitioning, &exact);
         result = finalize::materialize(&partitioning, config)?;
         retries += 1;
+        if !moved {
+            break;
+        }
     }
     Ok(result)
 }

@@ -148,7 +148,7 @@ fn evaluate_with<T>(
         p.move_proc(proc, home);
     }
     for (i, path) in saved {
-        p.set_path(i, path);
+        p.set_path(i, &path);
     }
     out
 }

@@ -8,14 +8,15 @@
 //! (with real parallel links) is only materialized at finalization.
 //!
 //! Pipes live in append-only *slots* addressed through a
-//! [`ResourceInterner`], and every flow carries a [`BitSet`] footprint
-//! of the directed pipe resources its path crosses (resource id =
-//! `slot * 2 + direction`). A candidate reroute therefore never walks the
-//! pipe map: its old crossings come straight from the footprint, its new
-//! crossings from the candidate path, and the two lists cancel by parity —
-//! the delta-update invariant of DESIGN.md §12. [`Partitioning::probe_score`]
-//! evaluates a reroute from those toggles alone, with the full recompute
-//! demoted to a debug-assert oracle.
+//! [`ResourceInterner`] and a dense lookup matrix; each slot direction is
+//! a directed pipe resource (id `slot * 2 + direction`). A candidate
+//! reroute never walks the pipe map: its old crossings come from the
+//! flow's committed path, its new crossings from the candidate path, and
+//! the two lists cancel by parity — the delta-update invariant of
+//! DESIGN.md §12. [`Partitioning::probe_score`] evaluates a reroute from
+//! those toggles alone. Each direction keeps per-clique crossing counters,
+//! so a flipped `Fast_Color` estimate costs O(cliques of the flow); the
+//! full recompute is demoted to a debug-assert oracle.
 //!
 //! [`Network`]: nocsyn_topo::Network
 
@@ -23,7 +24,9 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-use nocsyn_coloring::{exact_chromatic, fast_color_directed_masks, ConflictGraph};
+#[cfg(test)]
+use nocsyn_coloring::fast_color_directed_masks;
+use nocsyn_coloring::{exact_chromatic, ConflictGraph};
 use nocsyn_model::{
     BitSet, ContentionSet, Flow, FlowInterner, FxBuildHasher, ProcId, ResourceInterner,
 };
@@ -88,47 +91,162 @@ fn pipe_key_code(key: PipeKey) -> u64 {
     ((key.lo as u64) << 32) | key.hi as u64
 }
 
-/// The communications crossing one pipe (as [`BitSet`] bitmasks over the
-/// pattern's interned flow ids), with its current per-direction link
-/// estimates. Slots persist after a pipe drains (empty sets, zero links)
-/// so footprint resource ids stay stable for the whole search.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `Fast_Color` of one pipe direction, maintained incrementally: how many
+/// of the crossing flows each maximum clique holds, the largest such count
+/// (the paper's estimate, `max |clique ∩ crossing|`) and how many cliques
+/// sit at it. Inserting or removing a flow touches only the cliques that
+/// contain it, and so does estimating the flipped set.
+#[derive(Debug, Clone)]
+struct CliqueCounter {
+    counts: Vec<u32>,
+    max: u32,
+    at_max: u32,
+}
+
+impl CliqueCounter {
+    fn new(n_cliques: usize) -> Self {
+        CliqueCounter {
+            counts: vec![0; n_cliques],
+            max: 0,
+            at_max: n_cliques as u32,
+        }
+    }
+
+    /// The current estimate (0 for an empty crossing set).
+    fn max(&self) -> usize {
+        self.max as usize
+    }
+
+    /// Adds a crossing flow that lies in `cliques`.
+    fn insert(&mut self, cliques: &[u32]) {
+        for &c in cliques {
+            let count = &mut self.counts[c as usize];
+            *count += 1;
+            if *count > self.max {
+                self.max = *count;
+                self.at_max = 1;
+            } else if *count == self.max {
+                self.at_max += 1;
+            }
+        }
+    }
+
+    /// Removes a crossing flow that lies in `cliques`.
+    fn remove(&mut self, cliques: &[u32]) {
+        for &c in cliques {
+            let count = &mut self.counts[c as usize];
+            if *count == self.max {
+                self.at_max -= 1;
+            }
+            *count -= 1;
+        }
+        if self.at_max == 0 {
+            // Every clique at the maximum lost a member: rescan for the
+            // new maximum (commits only — probes use `max_without`).
+            self.max = self.counts.iter().copied().max().unwrap_or(0);
+            self.at_max = self.counts.iter().filter(|&&n| n == self.max).count() as u32;
+        }
+    }
+
+    /// The estimate after inserting a flow that lies in `cliques`.
+    fn max_with(&self, cliques: &[u32]) -> usize {
+        cliques
+            .iter()
+            .map(|&c| self.counts[c as usize] + 1)
+            .fold(self.max, u32::max) as usize
+    }
+
+    /// The estimate after removing a crossing flow that lies in
+    /// `cliques`: one lower exactly when every clique at the maximum
+    /// contains the flow.
+    fn max_without(&self, cliques: &[u32]) -> usize {
+        let held = cliques
+            .iter()
+            .filter(|&&c| self.counts[c as usize] == self.max)
+            .count() as u32;
+        if self.max > 0 && held == self.at_max {
+            self.max as usize - 1
+        } else {
+            self.max as usize
+        }
+    }
+}
+
+/// One direction of a pipe: the communications crossing it (a [`BitSet`]
+/// over the pattern's interned flow ids), their clique counters, and the
+/// direction's link estimate.
+#[derive(Debug, Clone)]
+struct PipeDir {
+    set: BitSet,
+    /// Population count of `set`, maintained on every toggle so
+    /// emptiness tests never scan the bitset words.
+    n: usize,
+    /// Edit generation (bumped on every toggle), versioning `exact_memo`.
+    gen: u64,
+    cliques: CliqueCounter,
+    /// Flow id → `(generation, links)`: the exact-coloring estimate with
+    /// that flow flipped, valid while `gen` still equals the recorded
+    /// generation. Allocated on the first `Exact` probe of the direction.
+    exact_memo: Vec<(u64, u32)>,
+    links: usize,
+}
+
+impl PipeDir {
+    fn new(universe: usize, n_cliques: usize) -> Self {
+        PipeDir {
+            set: BitSet::with_capacity(universe),
+            n: 0,
+            gen: 0,
+            cliques: CliqueCounter::new(n_cliques),
+            exact_memo: Vec::new(),
+            links: 0,
+        }
+    }
+
+    /// Flips flow `idx` (lying in `cliques`) in or out of the direction.
+    fn toggle(&mut self, idx: usize, cliques: &[u32]) {
+        if self.set.toggle(idx) {
+            self.n += 1;
+            self.cliques.insert(cliques);
+        } else {
+            self.n -= 1;
+            self.cliques.remove(cliques);
+        }
+        self.gen += 1;
+    }
+}
+
+/// Index of a pipe direction in [`PipeState::dirs`] (and the low bit of
+/// its resource id): 0 forward (`lo → hi`), 1 backward.
+fn dir_index(key: PipeKey, from: usize) -> usize {
+    usize::from(!key.forward_from(from))
+}
+
+/// One pipe: both directions and the pipe's link estimate (the wider
+/// direction — a full-duplex link serves both). Slots persist after a
+/// pipe drains (empty sets, zero links) so resource ids stay stable for
+/// the whole search.
+#[derive(Debug, Clone)]
 pub(crate) struct PipeState {
     pub(crate) key: PipeKey,
-    pub(crate) forward: BitSet,
-    pub(crate) backward: BitSet,
-    /// Population counts of `forward` / `backward`, maintained on every
-    /// toggle so emptiness tests never scan the bitset words.
-    fwd_n: usize,
-    bwd_n: usize,
-    /// Per-direction edit generations (bumped on every toggle), versioning
-    /// the probe memo: a memoized flipped-direction estimate is valid only
-    /// while its direction's generation is unchanged.
-    fwd_gen: u64,
-    bwd_gen: u64,
-    pub(crate) fwd_links: usize,
-    pub(crate) bwd_links: usize,
+    dirs: [PipeDir; 2],
     pub(crate) links: usize,
 }
 
 impl PipeState {
-    fn new(key: PipeKey, universe: usize) -> Self {
+    fn new(key: PipeKey, universe: usize, n_cliques: usize) -> Self {
         PipeState {
             key,
-            forward: BitSet::with_capacity(universe),
-            backward: BitSet::with_capacity(universe),
-            fwd_n: 0,
-            bwd_n: 0,
-            fwd_gen: 0,
-            bwd_gen: 0,
-            fwd_links: 0,
-            bwd_links: 0,
+            dirs: [
+                PipeDir::new(universe, n_cliques),
+                PipeDir::new(universe, n_cliques),
+            ],
             links: 0,
         }
     }
 
     fn is_empty(&self) -> bool {
-        self.fwd_n == 0 && self.bwd_n == 0
+        self.dirs[0].n == 0 && self.dirs[1].n == 0
     }
 }
 
@@ -172,10 +290,10 @@ pub struct Partitioning {
     /// the (sorted, deduplicated) flow list, so paths, crossing bitsets
     /// and the pattern share one id space.
     interner: FlowInterner,
-    /// `pattern.cliques()` compiled to bitmasks over `interner`, once per
-    /// partitioning — the `Fast_Color` hot path is AND + popcount against
-    /// these.
-    clique_masks: Vec<BitSet>,
+    /// Flow id → indices of the `pattern.cliques()` containing it. The
+    /// clique counters of every pipe direction are updated through this
+    /// table.
+    flow_cliques: Vec<Vec<u32>>,
     /// Processor index → flow indices with that processor as an endpoint
     /// (ascending), precomputed so moves don't rescan the flow list.
     proc_flows: Vec<Vec<usize>>,
@@ -187,15 +305,11 @@ pub struct Partitioning {
     pipe_lookup: Vec<u32>,
     pipe_stride: usize,
     /// Slot id → pipe state. A drained pipe keeps its slot zeroed rather
-    /// than being removed, so resource ids in footprints never dangle.
+    /// than being removed, so resource ids never dangle.
     pipe_slots: Vec<PipeState>,
     /// The *live* (non-empty) pipes in sorted key order — the view every
     /// deterministic iteration ([`Partitioning::pipes`]) walks.
     live_pipes: BTreeMap<PipeKey, usize>,
-    /// Flow index → footprint of directed pipe resources its path crosses
-    /// (resource id = `slot * 2 + direction`), maintained by XOR-toggle in
-    /// lock-step with `paths`.
-    footprints: Vec<BitSet>,
     /// Switch index → sum of link estimates of incident pipes, maintained
     /// by [`Partitioning::recompute_pipe_slot`] so [`Partitioning::degree`]
     /// is O(1) instead of a scan over the pipe map.
@@ -216,18 +330,11 @@ pub struct Partitioning {
     probe_switches: Vec<(usize, isize, isize)>,
     /// Reused bitset holding a probed direction's crossing set.
     dir_scratch: BitSet,
-    /// Generation-checked memo of flipped-direction estimates, keyed by
-    /// `(slot, direction, flow)` packed into one word. Entries are valid
-    /// while the direction's edit generation matches; stale entries are
-    /// overwritten on the next miss.
-    probe_cache: HashMap<u64, (u64, u32), FxBuildHasher>,
-    /// Memoized fast-coloring bounds per crossing set. The bound is a pure
-    /// function of the set (clique masks are fixed per pattern), so caching
-    /// changes no computed value — it only spares the mask sweep when the
-    /// annealed reroute loop revisits a set, which it does constantly.
-    fast_cache: HashMap<BitSet, usize, FxBuildHasher>,
-    /// Memoized exact chromatic numbers per crossing set (same purity
-    /// argument as `fast_cache`, for the branch-and-bound).
+    /// Memoized exact chromatic numbers per crossing set. The number is a
+    /// pure function of the set (the contention set is fixed per
+    /// pattern), so caching changes no computed value — it only spares the
+    /// branch-and-bound when the search revisits a set, which it does
+    /// constantly.
     chi_cache: HashMap<BitSet, usize, FxBuildHasher>,
     /// Committed score memo, invalidated by every mutation; `Cell` so the
     /// historically-`&self` [`Partitioning::score`] can fill it.
@@ -248,6 +355,19 @@ fn proc_flow_table(pattern: &AppPattern) -> Vec<Vec<usize>> {
     table
 }
 
+/// Flow id → indices of the cliques containing it (ascending), from the
+/// cliques compiled to masks over the flow interner. Two equal masks are
+/// two cliques, exactly as in the mask sweep of `Fast_Color`.
+fn flow_clique_table(masks: &[BitSet], n_flows: usize) -> Vec<Vec<u32>> {
+    let mut table = vec![Vec::new(); n_flows];
+    for (c, mask) in masks.iter().enumerate() {
+        for id in mask.iter() {
+            table[id].push(c as u32);
+        }
+    }
+    table
+}
+
 /// Looks up (or creates) the slot of `key`. Free function over the
 /// storage fields so callers can hold disjoint borrows of the rest of the
 /// partitioning. The dense mirror answers repeat lookups; the interner is
@@ -258,6 +378,7 @@ fn intern_pipe_slot(
     pipe_lookup: &mut [u32],
     pipe_stride: usize,
     universe: usize,
+    n_cliques: usize,
     key: PipeKey,
 ) -> usize {
     let cell = &mut pipe_lookup[key.lo * pipe_stride + key.hi];
@@ -266,46 +387,31 @@ fn intern_pipe_slot(
     }
     let slot = pipe_ids.intern(pipe_key_code(key));
     if slot == pipe_slots.len() {
-        pipe_slots.push(PipeState::new(key, universe));
+        pipe_slots.push(PipeState::new(key, universe, n_cliques));
     }
     *cell = slot as u32;
     slot
 }
 
-/// Link estimate of one pipe direction under `strategy`, memoized per
-/// crossing set. Both caches store exactly what the uncached computation
+/// Exact-coloring link estimate of one pipe direction, memoized per
+/// crossing set. The cache stores exactly what the uncached computation
 /// returns, so hits change no computed value.
-fn estimate_dir(
-    strategy: ColoringStrategy,
-    clique_masks: &[BitSet],
+fn exact_links(
     interner: &FlowInterner,
     contention: &ContentionSet,
-    fast_cache: &mut HashMap<BitSet, usize, FxBuildHasher>,
     chi_cache: &mut HashMap<BitSet, usize, FxBuildHasher>,
     set: &BitSet,
 ) -> usize {
     if set.is_empty() {
         return 0;
     }
-    match strategy {
-        ColoringStrategy::Fast => {
-            if let Some(&links) = fast_cache.get(set) {
-                return links;
-            }
-            let links = fast_color_directed_masks(clique_masks, set);
-            fast_cache.insert(set.clone(), links);
-            links
-        }
-        ColoringStrategy::Exact => {
-            if let Some(&chi) = chi_cache.get(set) {
-                return chi;
-            }
-            let g = ConflictGraph::from_flows(interner.flows_of(set).collect(), contention);
-            let chi = exact_chromatic(&g).n_colors();
-            chi_cache.insert(set.clone(), chi);
-            chi
-        }
+    if let Some(&chi) = chi_cache.get(set) {
+        return chi;
     }
+    let g = ConflictGraph::from_flows(interner.flows_of(set).collect(), contention);
+    let chi = exact_chromatic(&g).n_colors();
+    chi_cache.insert(set.clone(), chi);
+    chi
 }
 
 impl Partitioning {
@@ -341,7 +447,7 @@ impl Partitioning {
         let live_switch_count = switch_live.iter().filter(|&&b| b).count();
         let interner = FlowInterner::from_sorted_flows(pattern.flows().to_vec());
         let mut partitioning = Partitioning {
-            clique_masks: pattern.cliques().compile_masks(&interner),
+            flow_cliques: flow_clique_table(&pattern.cliques().compile_masks(&interner), n_flows),
             interner,
             proc_flows: proc_flow_table(pattern),
             paths: vec![Vec::new(); n_flows],
@@ -356,8 +462,6 @@ impl Partitioning {
             probe_toggles: Vec::new(),
             probe_switches: Vec::new(),
             dir_scratch: BitSet::with_capacity(n_flows),
-            probe_cache: HashMap::default(),
-            fast_cache: HashMap::default(),
             chi_cache: HashMap::default(),
             score_memo: Cell::new(None),
             members,
@@ -366,13 +470,12 @@ impl Partitioning {
             pipe_stride: n_switches,
             pipe_slots: Vec::new(),
             live_pipes: BTreeMap::new(),
-            footprints: vec![BitSet::new(); n_flows],
             total_links: 0,
             stats: SearchStats::default(),
         };
         for idx in 0..partitioning.paths.len() {
             let direct = partitioning.direct_path(idx);
-            partitioning.set_path(idx, direct);
+            partitioning.set_path(idx, &direct);
         }
         Ok(partitioning)
     }
@@ -437,8 +540,8 @@ impl Partitioning {
     /// yields ids in ascending order — lexicographic flow order).
     pub fn pipe_flows(&self, pipe: PipeKey) -> Option<(&BitSet, &BitSet)> {
         self.live_pipes.get(&pipe).map(|&slot| {
-            let st = &self.pipe_slots[slot];
-            (&st.forward, &st.backward)
+            let [fwd, bwd] = &self.pipe_slots[slot].dirs;
+            (&fwd.set, &bwd.set)
         })
     }
 
@@ -511,8 +614,6 @@ impl Partitioning {
         if self.strategy != strategy {
             self.strategy = strategy;
             self.score_memo.set(None);
-            // Memoized flip estimates were computed under the old strategy.
-            self.probe_cache.clear();
             let slots: Vec<usize> = self.live_pipes.values().copied().collect();
             for slot in slots {
                 self.recompute_pipe_slot(slot);
@@ -525,30 +626,21 @@ impl Partitioning {
     /// hanging off it: total links, per-switch incident sums, the live
     /// pipe view, and switch liveness.
     fn recompute_pipe_slot(&mut self, slot: usize) {
-        let new_fwd = estimate_dir(
-            self.strategy,
-            &self.clique_masks,
-            &self.interner,
-            self.pattern.contention(),
-            &mut self.fast_cache,
-            &mut self.chi_cache,
-            &self.pipe_slots[slot].forward,
-        );
-        let new_bwd = estimate_dir(
-            self.strategy,
-            &self.clique_masks,
-            &self.interner,
-            self.pattern.contention(),
-            &mut self.fast_cache,
-            &mut self.chi_cache,
-            &self.pipe_slots[slot].backward,
-        );
         let st = &mut self.pipe_slots[slot];
+        for dir in &mut st.dirs {
+            dir.links = match self.strategy {
+                ColoringStrategy::Fast => dir.cliques.max(),
+                ColoringStrategy::Exact => exact_links(
+                    &self.interner,
+                    self.pattern.contention(),
+                    &mut self.chi_cache,
+                    &dir.set,
+                ),
+            };
+        }
         let key = st.key;
         let old_links = st.links;
-        let new_links = new_fwd.max(new_bwd);
-        st.fwd_links = new_fwd;
-        st.bwd_links = new_bwd;
+        let new_links = st.dirs[0].links.max(st.dirs[1].links);
         st.links = new_links;
         let now_empty = st.is_empty();
         self.total_links = self.total_links - old_links + new_links;
@@ -589,53 +681,32 @@ impl Partitioning {
 
     /// Applies a batch of path changes (flow index → new path)
     /// incrementally: the old and new crossings of every changed flow are
-    /// XOR-toggled into the per-pipe bitsets — and the flow's footprint —
-    /// in place (a flow crossing the same pipe and direction both before
-    /// and after cancels out), and each touched pipe's link estimate is
-    /// recomputed exactly once — however many flows of the batch cross it.
-    /// Allocation-free apart from a reused touched-slots scratch buffer.
-    fn apply_path_changes<I>(&mut self, changes: I)
+    /// XOR-toggled into the per-pipe direction state in place (a flow
+    /// crossing the same pipe and direction both before and after cancels
+    /// out), and each touched pipe's link estimate is recomputed exactly
+    /// once — however many flows of the batch cross it. The new path is
+    /// copied into the flow's existing buffer, so a change allocates
+    /// nothing once that buffer has grown to the longest path it held.
+    fn apply_path_changes<P, I>(&mut self, changes: I)
     where
-        I: IntoIterator<Item = (usize, Vec<usize>)>,
+        P: AsRef<[usize]>,
+        I: IntoIterator<Item = (usize, P)>,
     {
         self.score_memo.set(None);
-        let universe = self.paths.len();
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
         for (idx, new_path) in changes {
+            let new_path = new_path.as_ref();
             debug_assert!(
                 new_path.windows(2).all(|w| w[0] != w[1]),
                 "path repeats a switch"
             );
-            let old_path = std::mem::replace(&mut self.paths[idx], new_path);
-            for path in [old_path.as_slice(), self.paths[idx].as_slice()] {
-                for w in path.windows(2) {
-                    let key = PipeKey::new(w[0], w[1]);
-                    let slot = intern_pipe_slot(
-                        &mut self.pipe_ids,
-                        &mut self.pipe_slots,
-                        &mut self.pipe_lookup,
-                        self.pipe_stride,
-                        universe,
-                        key,
-                    );
-                    let forward = key.forward_from(w[0]);
-                    let st = &mut self.pipe_slots[slot];
-                    let (set, count, gen) = if forward {
-                        (&mut st.forward, &mut st.fwd_n, &mut st.fwd_gen)
-                    } else {
-                        (&mut st.backward, &mut st.bwd_n, &mut st.bwd_gen)
-                    };
-                    if set.toggle(idx) {
-                        *count += 1;
-                    } else {
-                        *count -= 1;
-                    }
-                    *gen += 1;
-                    self.footprints[idx].toggle(slot * 2 + usize::from(!forward));
-                    touched.push(slot);
-                }
-            }
+            let mut path = std::mem::take(&mut self.paths[idx]);
+            self.toggle_crossings(idx, &path, &mut touched);
+            path.clear();
+            path.extend_from_slice(new_path);
+            self.toggle_crossings(idx, &path, &mut touched);
+            self.paths[idx] = path;
         }
         touched.sort_unstable();
         touched.dedup();
@@ -645,9 +716,31 @@ impl Partitioning {
         self.touched_scratch = touched;
     }
 
+    /// Flips flow `idx` in or out of every directed pipe resource `path`
+    /// crosses (interning new pipes), recording the touched slots.
+    fn toggle_crossings(&mut self, idx: usize, path: &[usize], touched: &mut Vec<usize>) {
+        let universe = self.paths.len();
+        let n_cliques = self.pattern.cliques().len();
+        let cliques = &self.flow_cliques[idx];
+        for w in path.windows(2) {
+            let key = PipeKey::new(w[0], w[1]);
+            let slot = intern_pipe_slot(
+                &mut self.pipe_ids,
+                &mut self.pipe_slots,
+                &mut self.pipe_lookup,
+                self.pipe_stride,
+                universe,
+                n_cliques,
+                key,
+            );
+            self.pipe_slots[slot].dirs[dir_index(key, w[0])].toggle(idx, cliques);
+            touched.push(slot);
+        }
+    }
+
     /// Installs `path` for flow `idx`, updating pipe crossings and link
     /// estimates.
-    pub(crate) fn set_path(&mut self, idx: usize, path: Vec<usize>) {
+    pub(crate) fn set_path(&mut self, idx: usize, path: &[usize]) {
         self.apply_path_changes([(idx, path)]);
     }
 
@@ -656,16 +749,22 @@ impl Partitioning {
     // ------------------------------------------------------------------
 
     /// Gathers the directed pipe resources whose crossing sets would flip
-    /// if flow `idx` moved to `new_path`: the flow's current footprint
-    /// XOR the candidate's crossings, computed by sort + parity-cancel
-    /// (a resource crossed both before and after appears twice and drops
-    /// out). Interns candidate pipes on the fly — an interned-but-empty
-    /// slot is indistinguishable from an absent pipe.
+    /// if flow `idx` moved to `new_path`: the committed path's crossings
+    /// XOR the candidate's, computed by sort + parity-cancel (a resource
+    /// crossed both before and after appears twice and drops out).
+    /// Interns candidate pipes on the fly — an interned-but-empty slot is
+    /// indistinguishable from an absent pipe.
     fn collect_probe_toggles(&mut self, idx: usize, new_path: &[usize]) {
         let universe = self.paths.len();
+        let n_cliques = self.pattern.cliques().len();
         let mut toggles = std::mem::take(&mut self.probe_toggles);
         toggles.clear();
-        toggles.extend(self.footprints[idx].iter());
+        for w in self.paths[idx].windows(2) {
+            let key = PipeKey::new(w[0], w[1]);
+            // A committed crossing is always interned.
+            let slot = self.pipe_lookup[key.lo * self.pipe_stride + key.hi] as usize;
+            toggles.push(slot * 2 + dir_index(key, w[0]));
+        }
         for w in new_path.windows(2) {
             let key = PipeKey::new(w[0], w[1]);
             let slot = intern_pipe_slot(
@@ -674,13 +773,14 @@ impl Partitioning {
                 &mut self.pipe_lookup,
                 self.pipe_stride,
                 universe,
+                n_cliques,
                 key,
             );
-            toggles.push(slot * 2 + usize::from(!key.forward_from(w[0])));
+            toggles.push(slot * 2 + dir_index(key, w[0]));
         }
         toggles.sort_unstable();
-        // The footprint is a set and the candidate path is simple, so a
-        // resource's multiplicity is at most 2; keep odd occurrences.
+        // Both paths are simple, so each crosses a resource at most once
+        // and a resource's multiplicity is at most 2; keep odd occurrences.
         let mut keep = 0;
         let mut i = 0;
         while i < toggles.len() {
@@ -696,50 +796,51 @@ impl Partitioning {
         self.probe_toggles = toggles;
     }
 
-    /// Link estimate of one direction of `slot` with flow `idx` flipped,
-    /// plus whether that direction would then be empty. Reads the
-    /// committed set into a scratch bitset; commits nothing.
-    fn flipped_dir_links(&mut self, slot: usize, backward: bool, idx: usize) -> (usize, bool) {
-        let st = &self.pipe_slots[slot];
-        let (set, count, gen) = if backward {
-            (&st.backward, st.bwd_n, st.bwd_gen)
-        } else {
-            (&st.forward, st.fwd_n, st.fwd_gen)
-        };
-        let flipped_n = if set.contains(idx) {
-            count - 1
-        } else {
-            count + 1
-        };
+    /// Link estimate of direction `dir` of `slot` with flow `idx` flipped,
+    /// plus whether that direction would then be empty; commits nothing.
+    /// `Fast` reads the clique counters. `Exact` answers from the
+    /// direction's generation-checked memo — the anneal re-probes the same
+    /// (pipe, direction, flow) flips over and over between commits — and
+    /// on a miss colors the flipped set in a scratch bitset.
+    fn flipped_dir_links(&mut self, slot: usize, dir: usize, idx: usize) -> (usize, bool) {
+        let d = &self.pipe_slots[slot].dirs[dir];
+        let present = d.set.contains(idx);
+        let flipped_n = if present { d.n - 1 } else { d.n + 1 };
         if flipped_n == 0 {
             return (0, true);
         }
-        // The anneal re-probes the same (pipe, direction, flow) flips over
-        // and over between commits; a generation-checked memo answers those
-        // without touching the bitset or the set-keyed caches.
-        let memo_key = (((slot * 2 + usize::from(backward)) as u64) << 32) | idx as u64;
-        if let Some(&(g, links)) = self.probe_cache.get(&memo_key) {
-            if g == gen {
-                return (links as usize, false);
+        let cliques = &self.flow_cliques[idx];
+        let links = match self.strategy {
+            ColoringStrategy::Fast if present => d.cliques.max_without(cliques),
+            ColoringStrategy::Fast => d.cliques.max_with(cliques),
+            ColoringStrategy::Exact => {
+                let universe = self.paths.len();
+                let d = &mut self.pipe_slots[slot].dirs[dir];
+                if d.exact_memo.is_empty() {
+                    d.exact_memo = vec![(u64::MAX, 0); universe];
+                }
+                let (gen, links) = d.exact_memo[idx];
+                if gen == d.gen {
+                    return (links as usize, false);
+                }
+                self.dir_scratch.clone_from(&d.set);
+                self.dir_scratch.toggle(idx);
+                let links = exact_links(
+                    &self.interner,
+                    self.pattern.contention(),
+                    &mut self.chi_cache,
+                    &self.dir_scratch,
+                );
+                let d = &mut self.pipe_slots[slot].dirs[dir];
+                d.exact_memo[idx] = (d.gen, links as u32);
+                links
             }
-        }
-        self.dir_scratch.clone_from(set);
-        self.dir_scratch.toggle(idx);
-        let links = estimate_dir(
-            self.strategy,
-            &self.clique_masks,
-            &self.interner,
-            self.pattern.contention(),
-            &mut self.fast_cache,
-            &mut self.chi_cache,
-            &self.dir_scratch,
-        );
-        self.probe_cache.insert(memo_key, (gen, links as u32));
+        };
         (links, false)
     }
 
     /// The total link estimate the partitioning would have after rerouting
-    /// flow `idx` onto `new_path`, computed from the toggled footprints
+    /// flow `idx` onto `new_path`, computed from the toggled crossings
     /// alone — no committed state changes. In debug builds the result is
     /// checked against a real apply-score-revert.
     pub(crate) fn probe_total_links(&mut self, idx: usize, new_path: &[usize]) -> usize {
@@ -752,14 +853,14 @@ impl Partitioning {
             let flip_fwd = toggles[i].is_multiple_of(2);
             let flip_both = flip_fwd && i + 1 < toggles.len() && toggles[i + 1] == slot * 2 + 1;
             let new_fwd = if flip_fwd {
-                self.flipped_dir_links(slot, false, idx).0
+                self.flipped_dir_links(slot, 0, idx).0
             } else {
-                self.pipe_slots[slot].fwd_links
+                self.pipe_slots[slot].dirs[0].links
             };
             let new_bwd = if !flip_fwd || flip_both {
-                self.flipped_dir_links(slot, true, idx).0
+                self.flipped_dir_links(slot, 1, idx).0
             } else {
-                self.pipe_slots[slot].bwd_links
+                self.pipe_slots[slot].dirs[1].links
             };
             total += new_fwd.max(new_bwd) as isize - self.pipe_slots[slot].links as isize;
             i += if flip_both { 2 } else { 1 };
@@ -769,9 +870,9 @@ impl Partitioning {
         #[cfg(debug_assertions)]
         {
             let old_path = self.paths[idx].clone();
-            self.set_path(idx, new_path.to_vec());
+            self.set_path(idx, new_path);
             let actual = self.total_links;
-            self.set_path(idx, old_path);
+            self.set_path(idx, &old_path);
             debug_assert_eq!(
                 probed, actual,
                 "probe_total_links diverged from full recompute"
@@ -783,7 +884,7 @@ impl Partitioning {
     /// The exact [`Partitioning::score`] the partitioning would have after
     /// rerouting flow `idx` onto `new_path`, assembled as committed score
     /// plus per-touched-pipe deltas (links, width excess, switch degree
-    /// excess, pipe and switch liveness) — O(footprint), no committed
+    /// excess, pipe and switch liveness) — O(path length), no committed
     /// state changes. In debug builds the result is checked against a real
     /// apply-score-revert (the full `C ∩ R` recompute demoted to oracle).
     pub(crate) fn probe_score(
@@ -808,16 +909,16 @@ impl Partitioning {
             let flip_both = flip_fwd && i + 1 < toggles.len() && toggles[i + 1] == slot * 2 + 1;
             let was_nonempty = !self.pipe_slots[slot].is_empty();
             let (new_fwd, fwd_empty) = if flip_fwd {
-                self.flipped_dir_links(slot, false, idx)
+                self.flipped_dir_links(slot, 0, idx)
             } else {
-                let st = &self.pipe_slots[slot];
-                (st.fwd_links, st.fwd_n == 0)
+                let d = &self.pipe_slots[slot].dirs[0];
+                (d.links, d.n == 0)
             };
             let (new_bwd, bwd_empty) = if !flip_fwd || flip_both {
-                self.flipped_dir_links(slot, true, idx)
+                self.flipped_dir_links(slot, 1, idx)
             } else {
-                let st = &self.pipe_slots[slot];
-                (st.bwd_links, st.bwd_n == 0)
+                let d = &self.pipe_slots[slot].dirs[1];
+                (d.links, d.n == 0)
             };
             let old_links = self.pipe_slots[slot].links;
             let new_links = new_fwd.max(new_bwd);
@@ -862,9 +963,9 @@ impl Partitioning {
         #[cfg(debug_assertions)]
         {
             let old_path = self.paths[idx].clone();
-            self.set_path(idx, new_path.to_vec());
+            self.set_path(idx, new_path);
             let actual = self.score(config);
-            self.set_path(idx, old_path);
+            self.set_path(idx, &old_path);
             debug_assert_eq!(probed, actual, "probe_score diverged from full recompute");
         }
         probed
@@ -959,12 +1060,16 @@ impl Partitioning {
         sj
     }
 
-    /// From-scratch link estimate of one direction (no caches) — the
-    /// reference the consistency oracle compares incremental state against.
+    /// From-scratch link estimate of one direction (no caches or
+    /// counters) — the reference the consistency oracle compares
+    /// incremental state against.
     #[cfg(test)]
     fn estimate_dir_uncached(&self, set: &BitSet) -> usize {
         match self.strategy {
-            ColoringStrategy::Fast => fast_color_directed_masks(&self.clique_masks, set),
+            ColoringStrategy::Fast => fast_color_directed_masks(
+                &self.pattern.cliques().compile_masks(&self.interner),
+                set,
+            ),
             ColoringStrategy::Exact => {
                 if set.is_empty() {
                     0
@@ -979,9 +1084,9 @@ impl Partitioning {
         }
     }
 
-    /// Debug-only consistency check: pipe sets match paths, footprints
-    /// match crossings, totals match from-scratch estimates, liveness
-    /// caches match scans.
+    /// Debug-only consistency check: pipe sets match paths, clique
+    /// counters match the sets, totals match from-scratch estimates,
+    /// liveness caches match scans.
     #[cfg(test)]
     pub(crate) fn assert_consistent(&self) {
         let universe = self.paths.len();
@@ -1010,6 +1115,7 @@ impl Partitioning {
             }
         }
         assert_eq!(self.live_pipes.len(), expect.len(), "live pipe sets differ");
+        let masks = self.pattern.cliques().compile_masks(&self.interner);
         let mut total = 0;
         for (key, (fwd, bwd)) in &expect {
             let slot = *self
@@ -1018,21 +1124,28 @@ impl Partitioning {
                 .unwrap_or_else(|| panic!("pipe {key} missing from live view"));
             let st = &self.pipe_slots[slot];
             assert_eq!(st.key, *key, "slot key of {key}");
-            assert_eq!(&st.forward, fwd, "forward set of {key}");
-            assert_eq!(&st.backward, bwd, "backward set of {key}");
-            assert_eq!(st.fwd_n, fwd.len(), "forward count of {key}");
-            assert_eq!(st.bwd_n, bwd.len(), "backward count of {key}");
+            for (d, set) in st.dirs.iter().zip([fwd, bwd]) {
+                assert_eq!(&d.set, set, "crossing set of {key}");
+                assert_eq!(d.n, set.len(), "crossing count of {key}");
+                assert_eq!(d.links, self.estimate_dir_uncached(set), "links of {key}");
+                let counts: Vec<u32> = masks
+                    .iter()
+                    .map(|m| m.intersection_len(set) as u32)
+                    .collect();
+                assert_eq!(d.cliques.counts, counts, "clique counts of {key}");
+                assert_eq!(
+                    d.cliques.max(),
+                    fast_color_directed_masks(&masks, set),
+                    "clique max of {key}"
+                );
+                let at_max = counts.iter().filter(|&&n| n == d.cliques.max).count();
+                assert_eq!(d.cliques.at_max as usize, at_max, "cliques at max of {key}");
+            }
             assert_eq!(
-                st.fwd_links,
-                self.estimate_dir_uncached(&st.forward),
-                "fwd links of {key}"
+                st.links,
+                st.dirs[0].links.max(st.dirs[1].links),
+                "links of {key}"
             );
-            assert_eq!(
-                st.bwd_links,
-                self.estimate_dir_uncached(&st.backward),
-                "bwd links of {key}"
-            );
-            assert_eq!(st.links, st.fwd_links.max(st.bwd_links), "links of {key}");
             total += st.links;
         }
         for (slot, st) in self.pipe_slots.iter().enumerate() {
@@ -1060,18 +1173,6 @@ impl Partitioning {
             "dense lookup has stray entries"
         );
         assert_eq!(self.total_links, total, "total_links out of sync");
-        for (idx, path) in self.paths.iter().enumerate() {
-            let mut fp = BitSet::new();
-            for w in path.windows(2) {
-                let key = PipeKey::new(w[0], w[1]);
-                let slot = self
-                    .pipe_ids
-                    .id(pipe_key_code(key))
-                    .expect("crossed pipe is interned");
-                fp.insert(slot * 2 + usize::from(!key.forward_from(w[0])));
-            }
-            assert_eq!(self.footprints[idx], fp, "footprint of flow {idx}");
-        }
         for s in 0..self.members.len() {
             let links: usize = self
                 .live_pipes
@@ -1096,11 +1197,34 @@ impl Partitioning {
     }
 }
 
+/// The part of a [`Partitioning`] that the search's decisions read:
+/// switch count, placement and routes. Everything else (members, pipe
+/// sets, estimates, liveness) is derived from these under the coloring
+/// strategy, and the caches only memoize pure functions.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct SearchState {
+    n_switches: usize,
+    home: Vec<usize>,
+    paths: Vec<Vec<usize>>,
+}
+
+impl Partitioning {
+    /// A snapshot of the [`SearchState`], for fixpoint tests.
+    pub(crate) fn search_state(&self) -> SearchState {
+        SearchState {
+            n_switches: self.n_switches(),
+            home: self.home.clone(),
+            paths: self.paths.clone(),
+        }
+    }
+}
+
 /// The Main Partitioning Algorithm (paper Appendix): recursively bisects
 /// switches until every switch meets the design constraints, improving each
 /// split with processor moves and `Best_Route`, then repairing remaining
-/// violations by rerouting and refining the feasible result.
-pub(crate) fn run(p: &mut Partitioning, config: &SynthesisConfig) {
+/// violations by rerouting and refining the feasible result. Returns
+/// whether any outer cycle changed the [`SearchState`].
+pub(crate) fn run(p: &mut Partitioning, config: &SynthesisConfig) -> bool {
     p.set_strategy(config.coloring());
     let mut rng = Rng::seed_from_u64(config.seed());
     let mut acceptor = Acceptor::new(config.acceptance());
@@ -1108,19 +1232,30 @@ pub(crate) fn run(p: &mut Partitioning, config: &SynthesisConfig) {
     // Outer cycle: splitting, route repair, and refinement feed each
     // other (repair can make an unsplittable violation feasible; refine
     // can merge once feasible; merging may expose a better split).
+    let mut moved = false;
     let mut last_score = None;
     for _outer in 0..4 {
+        let before = p.search_state();
         split_loop(p, config, &mut rng, &mut acceptor);
         if !p.violating(config).is_empty() && config.indirect_routing() {
             route_opt::repair(p, config);
         }
         refine(p, config);
+        if p.search_state() == before {
+            // A cycle that changed nothing split nothing, so the next one
+            // would split nothing either and replay the same deterministic
+            // repair (its anneal seeds depend only on config and round)
+            // and refinement: an exact replay.
+            break;
+        }
+        moved = true;
         let score = p.score(config);
         if score.0 == 0 || last_score == Some(score) {
             break; // feasible, or a fixpoint nothing further will move
         }
         last_score = Some(score);
     }
+    moved
 }
 
 /// Steps 2–9 of the paper's algorithm: bisect violating switches until all
@@ -1301,11 +1436,11 @@ mod tests {
         if direct.len() == 2 {
             let (a, b) = (direct[0], direct[1]);
             let via = (0..3).find(|&v| v != a && v != b).unwrap();
-            p.set_path(flow_idx, vec![a, via, b]);
+            p.set_path(flow_idx, &[a, via, b]);
             p.assert_consistent();
             assert_eq!(p.path(p.pattern.flows()[flow_idx]).unwrap().len(), 3);
             // And back.
-            p.set_path(flow_idx, direct);
+            p.set_path(flow_idx, &direct);
             p.assert_consistent();
         }
     }
@@ -1341,12 +1476,12 @@ mod tests {
             let probed_links = p.probe_total_links(idx, &candidate);
             let probed_score = p.probe_score(idx, &candidate, &config);
             let original = p.path_of_idx(idx).to_vec();
-            p.set_path(idx, candidate.clone());
+            p.set_path(idx, &candidate);
             assert_eq!(probed_links, p.total_links(), "links, trial {trial}");
             assert_eq!(probed_score, p.score(&config), "score, trial {trial}");
             // Commit some candidates, revert others, to vary the base.
             if rng.gen_bool(0.5) {
-                p.set_path(idx, original);
+                p.set_path(idx, &original);
             }
             p.assert_consistent();
         }
@@ -1401,6 +1536,118 @@ mod tests {
         run(&mut p, &config);
         assert!(!p.violating(&config).is_empty());
         assert!(p.stats.rounds <= 50);
+    }
+
+    /// The search must reach a state `run` leaves unchanged; from there,
+    /// a further `run` is an exact replay that leaves it unchanged again —
+    /// the premise of the fixpoint exits in `run` and in the
+    /// exact-coloring retry loop.
+    #[test]
+    fn run_from_its_own_fixpoint_leaves_the_state_unchanged() {
+        // Six processors, all-to-all as five shift phases plus an XOR
+        // exchange (its flows lie in two cliques): degree 3 is out of
+        // reach, so every run ends violating and reaches the reroute
+        // anneal.
+        let mut s = PhaseSchedule::new(6);
+        for k in 1..6 {
+            s.push(Phase::from_flows((0..6).map(|a| (a, (a + k) % 6))).unwrap())
+                .unwrap();
+        }
+        s.push(Phase::from_flows((0..6).map(|a| (a, a ^ 1))).unwrap())
+            .unwrap();
+        let pattern = AppPattern::from_schedule(&s);
+        for coloring in [ColoringStrategy::Fast, ColoringStrategy::Exact] {
+            let config = SynthesisConfig::new()
+                .with_max_degree(3)
+                .with_seed(4)
+                .with_coloring(coloring);
+            let mut p = Partitioning::megaswitch(&pattern).unwrap();
+            let mut runs = 1;
+            while run(&mut p, &config) {
+                runs += 1;
+                assert!(runs <= 6, "{coloring:?}: no fixpoint after {runs} runs");
+            }
+            assert!(!p.violating(&config).is_empty());
+            assert!(p.stats.reroutes_tried > 0, "the repair search ran");
+            let fixed = p.search_state();
+            assert!(!run(&mut p, &config), "{coloring:?}: the replay moved");
+            assert_eq!(p.search_state(), fixed, "{coloring:?}");
+            p.assert_consistent();
+        }
+    }
+
+    /// Random clique sets (flows in zero, one or several cliques,
+    /// duplicate and empty cliques, no cliques at all) under random
+    /// toggle sequences: the maintained counters always give the
+    /// from-scratch `Fast_Color` of the crossing set, and the flipped
+    /// estimate of every flow matches the from-scratch value of the
+    /// toggled set.
+    #[test]
+    fn clique_counters_match_fast_color_from_scratch() {
+        let mut rng = Rng::seed_from_u64(0xC0C0);
+        for case in 0..300 {
+            let n_flows = rng.gen_range(1..48usize);
+            // Case 0 mod 7 has no cliques at all.
+            let n_cliques = if case % 7 == 0 {
+                0
+            } else {
+                rng.gen_range(1..9usize)
+            };
+            let mut masks: Vec<BitSet> = Vec::with_capacity(n_cliques);
+            for c in 0..n_cliques {
+                if c > 0 && rng.gen_bool(0.2) {
+                    let twin = masks[rng.gen_range(0..c)].clone();
+                    masks.push(twin);
+                    continue;
+                }
+                let density = rng.gen_range(0..4usize) as f64 / 4.0;
+                let mut mask = BitSet::with_capacity(n_flows);
+                mask.extend((0..n_flows).filter(|_| rng.gen_bool(density)));
+                masks.push(mask);
+            }
+            let table = flow_clique_table(&masks, n_flows);
+            let cliques_of = |f: usize| table[f].as_slice();
+            for f in 0..n_flows {
+                let expect: Vec<u32> = (0..n_cliques)
+                    .filter(|&c| masks[c].contains(f))
+                    .map(|c| c as u32)
+                    .collect();
+                assert_eq!(cliques_of(f), expect.as_slice(), "case {case} flow {f}");
+            }
+
+            let mut set = BitSet::with_capacity(n_flows);
+            let mut counter = CliqueCounter::new(n_cliques);
+            for step in 0..60 {
+                let f = rng.gen_range(0..n_flows);
+                if set.toggle(f) {
+                    counter.insert(cliques_of(f));
+                } else {
+                    counter.remove(cliques_of(f));
+                }
+                let what = format!("case {case} step {step}");
+                assert_eq!(
+                    counter.max(),
+                    fast_color_directed_masks(&masks, &set),
+                    "{what}"
+                );
+                let at_max = counter.counts.iter().filter(|&&n| n == counter.max).count();
+                assert_eq!(counter.at_max as usize, at_max, "{what}");
+                for g in 0..n_flows {
+                    let estimate = if set.contains(g) {
+                        counter.max_without(cliques_of(g))
+                    } else {
+                        counter.max_with(cliques_of(g))
+                    };
+                    let mut flipped = set.clone();
+                    flipped.toggle(g);
+                    assert_eq!(
+                        estimate,
+                        fast_color_directed_masks(&masks, &flipped),
+                        "{what} flip {g}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub(crate) fn best_route(p: &mut Partitioning, si: usize, sj: usize) {
         p.stats.reroutes_tried += 1;
         let after = p.probe_total_links(idx, &direct);
         if after < before {
-            p.set_path(idx, direct);
+            p.set_path(idx, &direct);
             p.stats.reroutes_accepted += 1;
         } else if after == before {
             p.stats.reroutes_neutral += 1;
@@ -132,40 +132,27 @@ fn anneal_routes(p: &mut Partitioning, config: &crate::SynthesisConfig, round: u
         return;
     }
     let mut rng = Rng::seed_from_u64(config.seed() ^ 0xA11E_A1ED ^ (round << 17));
-    let snapshot = |p: &Partitioning| -> Vec<Vec<usize>> {
-        (0..n_flows).map(|i| p.path_of_idx(i).to_vec()).collect()
-    };
+    // The best configuration seen, copied into buffers that are reused
+    // for every new best.
+    let mut best_paths: Vec<Vec<usize>> = (0..n_flows).map(|i| p.path_of_idx(i).to_vec()).collect();
 
     let mut current = scalar(p);
     let mut best = current;
-    let mut best_paths = snapshot(p);
     let mut temperature = 50.0;
     let iterations = 400 * n_flows.min(64);
 
     for _ in 0..iterations {
         let idx = rng.gen_range(0..n_flows);
-        // Build the candidate on the stack; the common case (probe and
-        // reject or skip) allocates nothing.
+        // Build the candidate on the stack; no probe allocates.
         let (hs, hd) = p.direct_endpoints(idx);
-        let mut buf = [0usize; 3];
-        let candidate: &[usize] = if hs != hd && rng.gen_bool(0.7) {
+        let via = if hs != hd && rng.gen_bool(0.7) {
             let via = rng.gen_range(0..p.n_switches());
-            if via == hs || via == hd {
-                buf[0] = hs;
-                buf[1] = hd;
-                &buf[..2]
-            } else {
-                buf = [hs, via, hd];
-                &buf[..3]
-            }
-        } else if hs == hd {
-            buf[0] = hs;
-            &buf[..1]
+            (via != hs && via != hd).then_some(via)
         } else {
-            buf[0] = hs;
-            buf[1] = hd;
-            &buf[..2]
+            None
         };
+        let (buf, len) = candidate_path(hs, hd, via);
+        let candidate = &buf[..len];
         if candidate == p.path_of_idx(idx) {
             continue;
         }
@@ -177,11 +164,14 @@ fn anneal_routes(p: &mut Partitioning, config: &crate::SynthesisConfig, round: u
         }
         let accept = new <= current || rng.gen_f64() < ((current - new) / temperature).exp();
         if accept {
-            p.set_path(idx, candidate.to_vec());
+            p.set_path(idx, candidate);
             current = new;
             if new < best {
                 best = new;
-                best_paths = snapshot(p);
+                for (i, path) in best_paths.iter_mut().enumerate() {
+                    path.clear();
+                    path.extend_from_slice(p.path_of_idx(i));
+                }
             }
             p.stats.reroutes_accepted += 1;
         }
@@ -190,7 +180,7 @@ fn anneal_routes(p: &mut Partitioning, config: &crate::SynthesisConfig, round: u
 
     // Restore the best visited configuration.
     if scalar(p) > best {
-        for (i, path) in best_paths.into_iter().enumerate() {
+        for (i, path) in best_paths.iter().enumerate() {
             p.set_path(i, path);
         }
     }
@@ -201,50 +191,57 @@ fn anneal_routes(p: &mut Partitioning, config: &crate::SynthesisConfig, round: u
 /// the lexicographic score. Returns whether a change was committed.
 fn reroute_best(p: &mut Partitioning, flow: Flow, config: &crate::SynthesisConfig) -> bool {
     let idx = p.flow_idx(flow);
-    let original = p.path_of_idx(idx).to_vec();
     let current_score = p.score(config);
-    let direct = p.direct_path(idx);
-    let mut candidates: Vec<Vec<usize>> = vec![direct.clone()];
-    if direct.len() == 2 {
+    let (hs, hd) = p.direct_endpoints(idx);
+    // Candidates in order: the direct path, then each detour by ascending
+    // via switch.
+    let mut vias: Vec<usize> = Vec::new();
+    if hs != hd {
         // Only detour through switches already piped to an endpoint:
         // consolidation onto an existing pipe is the only reroute that can
         // lower an endpoint's degree, and it keeps the candidate set small.
-        let neighbors: Vec<usize> = p
+        vias = p
             .pipes()
             .map(|(k, _)| k)
-            .filter(|k| k.touches(direct[0]) || k.touches(direct[1]))
+            .filter(|k| k.touches(hs) || k.touches(hd))
             .flat_map(|k| [k.lo(), k.hi()])
-            .collect();
-        let mut vias: Vec<usize> = neighbors
-            .into_iter()
-            .filter(|&v| v != direct[0] && v != direct[1])
+            .filter(|&v| v != hs && v != hd)
             .collect();
         vias.sort_unstable();
         vias.dedup();
-        for via in vias {
-            candidates.push(vec![direct[0], via, direct[1]]);
-        }
     }
-    let mut best: Option<(Vec<usize>, (usize, usize))> = None;
-    for cand in candidates {
-        if cand == original {
+    let mut best: Option<(Option<usize>, (usize, usize))> = None;
+    for via in std::iter::once(None).chain(vias.into_iter().map(Some)) {
+        let (buf, len) = candidate_path(hs, hd, via);
+        let cand = &buf[..len];
+        if cand == p.path_of_idx(idx) {
             continue;
         }
         p.stats.reroutes_tried += 1;
-        let score = p.probe_score(idx, &cand, config);
+        let score = p.probe_score(idx, cand, config);
         if score == current_score {
             p.stats.reroutes_neutral += 1;
         }
-        if score < current_score && best.as_ref().is_none_or(|(_, s)| score < *s) {
-            best = Some((cand, score));
+        if score < current_score && best.is_none_or(|(_, s)| score < s) {
+            best = Some((via, score));
         }
     }
-    if let Some((path, _)) = best {
-        p.set_path(idx, path);
-        p.stats.reroutes_accepted += 1;
-        true
-    } else {
-        false
+    let Some((via, _)) = best else {
+        return false;
+    };
+    let (buf, len) = candidate_path(hs, hd, via);
+    p.set_path(idx, &buf[..len]);
+    p.stats.reroutes_accepted += 1;
+    true
+}
+
+/// The path from home switch `hs` to `hd` through `via`, or the direct
+/// path for `None`, as a stack buffer and its length.
+fn candidate_path(hs: usize, hd: usize, via: Option<usize>) -> ([usize; 3], usize) {
+    match via {
+        Some(v) => ([hs, v, hd], 3),
+        None if hs == hd => ([hs, 0, 0], 1),
+        None => ([hs, hd, 0], 2),
     }
 }
 
@@ -266,7 +263,7 @@ fn try_detour(p: &mut Partitioning, flow: Flow, a: usize, b: usize, via: usize) 
     let before = p.total_links();
     let after = p.probe_total_links(idx, &new);
     if after < before {
-        p.set_path(idx, new);
+        p.set_path(idx, &new);
         p.stats.reroutes_accepted += 1;
     } else if after == before {
         p.stats.reroutes_neutral += 1;
@@ -412,7 +409,7 @@ mod tests {
             p.move_proc(ProcId(proc), home);
         }
         let idx = p.flow_idx(Flow::from_indices(0, 3));
-        p.set_path(idx, vec![0, 2, 1]);
+        p.set_path(idx, &[0, 2, 1]);
         assert_eq!(p.total_links(), 2);
         best_route(&mut p, 0, 1);
         assert_eq!(p.path(Flow::from_indices(0, 3)).unwrap(), &[0, 1]);
