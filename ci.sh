@@ -27,6 +27,13 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> golden networks of the repair search, in release"
+# Debug builds check every move and reroute probe against an
+# apply-and-undo oracle, which interns pipes in another order and bumps
+# memo generations, so the debug run above does not execute the code the
+# release binaries and the benchmark run. The goldens must hold there too.
+cargo test --release --offline --test golden_exactness
+
 echo "==> nocbench builds and its tests pass against the workspace crates"
 # The repo benchmark is a separate package that builds the workspace
 # crates from source; a renamed public item must fail here, not at

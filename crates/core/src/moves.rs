@@ -51,9 +51,10 @@ impl MoveCandidate {
 /// relocated processors' flows (as the paper specifies), and returns the
 /// lowest-cost candidate.
 ///
-/// The evaluation is performed by applying the change to the partitioning,
-/// reading the incrementally-maintained total, and undoing it exactly — so
-/// each candidate costs only the pipe recomputations its flows touch.
+/// Each candidate is scored by [`Partitioning::probe_relocation`], which
+/// reads the total the move would produce from the crossings it toggles —
+/// so a candidate costs only the pipe estimates its flows touch, and the
+/// partitioning is never mutated.
 ///
 /// Returns `None` when no legal candidate exists at all.
 pub(crate) fn best_move(
@@ -89,7 +90,7 @@ pub(crate) fn best_move(
         if (ni_after - nj_after).unsigned_abs() > config.balance_tolerance() {
             continue;
         }
-        let cost = evaluate(p, &[(proc, to)]);
+        let cost = evaluate(p, &[(proc, to)], config).0;
         if best.as_ref().is_none_or(|b| cost < b.cost()) {
             best = Some(MoveCandidate::Single { proc, to, cost });
         }
@@ -100,7 +101,7 @@ pub(crate) fn best_move(
     let right: Vec<ProcId> = p.members(sj).to_vec();
     for &a in &left {
         for &b in &right {
-            let cost = evaluate(p, &[(a, sj), (b, si)]);
+            let cost = evaluate(p, &[(a, sj), (b, si)], config).0;
             if best.as_ref().is_none_or(|bst| cost < bst.cost()) {
                 best = Some(MoveCandidate::Swap {
                     a,
@@ -115,23 +116,28 @@ pub(crate) fn best_move(
     best
 }
 
-/// Applies the given relocations, reads the incrementally-maintained link
-/// total, and undoes everything exactly (including any detoured paths
-/// Best_Route had installed for the touched flows). This is the paper's
-/// "expected number of links ... assuming direct routes" evaluation,
-/// side-effect free.
-fn evaluate(p: &mut Partitioning, relocations: &[(ProcId, usize)]) -> usize {
-    evaluate_with(p, relocations, Partitioning::total_links)
+/// Scores the given relocations — the paper's "expected number of links
+/// ... assuming direct routes" evaluation — as `(total_links, score)`,
+/// side-effect free, and counts the evaluation.
+fn evaluate(
+    p: &mut Partitioning,
+    relocations: &[(ProcId, usize)],
+    config: &SynthesisConfig,
+) -> (usize, (usize, usize)) {
+    p.stats.moves_tried += 1;
+    p.probe_relocation(relocations, config)
 }
 
-/// Like [`evaluate`], but lets the caller observe arbitrary state of the
-/// trial configuration (degrees, live switch counts, ...).
-fn evaluate_with<T>(
+/// The oracle [`Partitioning::probe_relocation`] is checked against:
+/// applies the relocations, observes the trial state, and undoes
+/// everything exactly (including any detoured paths `Best_Route` had
+/// installed for the touched flows).
+#[cfg(any(test, debug_assertions))]
+pub(crate) fn evaluate_with<T>(
     p: &mut Partitioning,
     relocations: &[(ProcId, usize)],
     observe: impl FnOnce(&Partitioning) -> T,
 ) -> T {
-    p.stats.moves_tried += 1;
     let mut undo: Vec<(ProcId, usize)> = Vec::with_capacity(relocations.len());
     let mut saved: Vec<(usize, Vec<usize>)> = Vec::new();
     for &(proc, to) in relocations {
@@ -179,7 +185,7 @@ pub(crate) fn refine_move(
         .chain(p.members(sj).iter().map(|&q| (q, si)))
         .collect();
     for (proc, to) in singles {
-        let score = evaluate_with(p, &[(proc, to)], |p| p.score(config));
+        let score = evaluate(p, &[(proc, to)], config).1;
         consider(
             MoveCandidate::Single { proc, to, cost: 0 },
             score,
@@ -190,7 +196,7 @@ pub(crate) fn refine_move(
     let right: Vec<ProcId> = p.members(sj).to_vec();
     for &a in &left {
         for &b in &right {
-            let score = evaluate_with(p, &[(a, sj), (b, si)], |p| p.score(config));
+            let score = evaluate(p, &[(a, sj), (b, si)], config).1;
             consider(
                 MoveCandidate::Swap {
                     a,

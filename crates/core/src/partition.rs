@@ -17,6 +17,10 @@
 //! those toggles alone. Each direction keeps per-clique crossing counters,
 //! so a flipped `Fast_Color` estimate costs O(cliques of the flow); the
 //! full recompute is demoted to a debug-assert oracle.
+//! [`Partitioning::probe_relocation`] scores a processor move or swap the
+//! same way, from the `(resource, flow)` toggles of the moved processors'
+//! flows and their member changes; applying and undoing the move is its
+//! oracle.
 //!
 //! [`Network`]: nocsyn_topo::Network
 
@@ -170,6 +174,28 @@ impl CliqueCounter {
             self.max as usize
         }
     }
+
+    /// The estimate after flipping several flows at once, each given as
+    /// `(cliques, present)`: the counts are copied into `scratch` (reused
+    /// across calls; the clique lists are short and the counts few) and
+    /// the flips applied there.
+    fn max_flipped<'a>(
+        &self,
+        flips: impl Iterator<Item = (&'a [u32], bool)>,
+        scratch: &mut Vec<u32>,
+    ) -> usize {
+        scratch.clone_from(&self.counts);
+        for (cliques, present) in flips {
+            for &c in cliques {
+                if present {
+                    scratch[c as usize] -= 1;
+                } else {
+                    scratch[c as usize] += 1;
+                }
+            }
+        }
+        scratch.iter().copied().max().unwrap_or(0) as usize
+    }
 }
 
 /// One direction of a pipe: the communications crossing it (a [`BitSet`]
@@ -250,6 +276,50 @@ impl PipeState {
     }
 }
 
+/// What a probe changes at one switch: incident links, live incident
+/// pipes and attached processors.
+#[derive(Debug, Clone, Copy)]
+struct SwitchDelta {
+    switch: usize,
+    links: isize,
+    pipes: isize,
+    members: isize,
+}
+
+/// The running deltas of one probe against the committed state: total
+/// links, pipe-width excess, and the touched switches (few, so a linear
+/// scan finds one).
+#[derive(Debug, Clone, Default)]
+struct ProbeDelta {
+    links: isize,
+    width_excess: isize,
+    switches: Vec<SwitchDelta>,
+}
+
+impl ProbeDelta {
+    fn clear(&mut self) {
+        self.links = 0;
+        self.width_excess = 0;
+        self.switches.clear();
+    }
+
+    fn at(&mut self, switch: usize) -> &mut SwitchDelta {
+        let pos = match self.switches.iter().position(|e| e.switch == switch) {
+            Some(pos) => pos,
+            None => {
+                self.switches.push(SwitchDelta {
+                    switch,
+                    links: 0,
+                    pipes: 0,
+                    members: 0,
+                });
+                self.switches.len() - 1
+            }
+        };
+        &mut self.switches[pos]
+    }
+}
+
 /// Counters describing a synthesis run (embedded into the final
 /// [`SynthesisReport`](crate::SynthesisReport)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -325,9 +395,17 @@ pub struct Partitioning {
     /// batch.
     touched_scratch: Vec<usize>,
     /// Reused buffers for [`Partitioning::probe_score`]: parity-filtered
-    /// directed-resource toggles and per-switch delta accumulators.
+    /// directed-resource toggles and the running deltas (shared with
+    /// [`Partitioning::probe_relocation`]).
     probe_toggles: Vec<usize>,
-    probe_switches: Vec<(usize, isize, isize)>,
+    probe_delta: ProbeDelta,
+    /// Reused buffers for [`Partitioning::probe_relocation`]: the moved
+    /// processors' flows, their parity-filtered `(resource, flow)`
+    /// toggles, and a direction's clique counts with several flows
+    /// flipped.
+    reloc_flows: Vec<usize>,
+    reloc_toggles: Vec<(usize, usize)>,
+    reloc_counts: Vec<u32>,
     /// Reused bitset holding a probed direction's crossing set.
     dir_scratch: BitSet,
     /// Memoized exact chromatic numbers per crossing set. The number is a
@@ -391,6 +469,25 @@ fn intern_pipe_slot(
     }
     *cell = slot as u32;
     slot
+}
+
+/// Sorts `toggles` and drops every value that occurs twice, keeping
+/// those that occur once — the parity cancel of a before/after crossing
+/// list in which no value occurs more than twice.
+fn cancel_pairs<T: Ord + Copy>(toggles: &mut Vec<T>) {
+    toggles.sort_unstable();
+    let mut keep = 0;
+    let mut i = 0;
+    while i < toggles.len() {
+        if i + 1 < toggles.len() && toggles[i + 1] == toggles[i] {
+            i += 2;
+        } else {
+            toggles[keep] = toggles[i];
+            keep += 1;
+            i += 1;
+        }
+    }
+    toggles.truncate(keep);
 }
 
 /// Exact-coloring link estimate of one pipe direction, memoized per
@@ -460,7 +557,10 @@ impl Partitioning {
             live_switch_count,
             touched_scratch: Vec::new(),
             probe_toggles: Vec::new(),
-            probe_switches: Vec::new(),
+            probe_delta: ProbeDelta::default(),
+            reloc_flows: Vec::new(),
+            reloc_toggles: Vec::new(),
+            reloc_counts: Vec::new(),
             dir_scratch: BitSet::with_capacity(n_flows),
             chi_cache: HashMap::default(),
             score_memo: Cell::new(None),
@@ -745,7 +845,8 @@ impl Partitioning {
     }
 
     // ------------------------------------------------------------------
-    // Probes: score a candidate reroute without committing it.
+    // Probes: score a candidate reroute or relocation without committing
+    // it.
     // ------------------------------------------------------------------
 
     /// Gathers the directed pipe resources whose crossing sets would flip
@@ -778,21 +879,8 @@ impl Partitioning {
             );
             toggles.push(slot * 2 + dir_index(key, w[0]));
         }
-        toggles.sort_unstable();
-        // Both paths are simple, so each crosses a resource at most once
-        // and a resource's multiplicity is at most 2; keep odd occurrences.
-        let mut keep = 0;
-        let mut i = 0;
-        while i < toggles.len() {
-            if i + 1 < toggles.len() && toggles[i + 1] == toggles[i] {
-                i += 2;
-            } else {
-                toggles[keep] = toggles[i];
-                keep += 1;
-                i += 1;
-            }
-        }
-        toggles.truncate(keep);
+        // Both paths are simple, so each crosses a resource at most once.
+        cancel_pairs(&mut toggles);
         self.probe_toggles = toggles;
     }
 
@@ -881,6 +969,72 @@ impl Partitioning {
         probed
     }
 
+    /// The committed link estimate and emptiness of direction `dir` of
+    /// `slot` — what a probe reads for a direction it does not flip.
+    fn committed_dir(&self, slot: usize, dir: usize) -> (usize, bool) {
+        let d = &self.pipe_slots[slot].dirs[dir];
+        (d.links, d.n == 0)
+    }
+
+    /// Folds one probed pipe into `delta`: from its new per-direction
+    /// estimates and emptiness, the change in links and width excess, and
+    /// the change in incident links and live pipes at both ends.
+    fn tally_pipe(
+        &self,
+        delta: &mut ProbeDelta,
+        slot: usize,
+        (new_fwd, fwd_empty): (usize, bool),
+        (new_bwd, bwd_empty): (usize, bool),
+        width_cap: Option<usize>,
+    ) {
+        let st = &self.pipe_slots[slot];
+        let old_links = st.links;
+        let new_links = new_fwd.max(new_bwd);
+        let d_links = new_links as isize - old_links as isize;
+        delta.links += d_links;
+        if let Some(w) = width_cap {
+            delta.width_excess +=
+                new_links.saturating_sub(w) as isize - old_links.saturating_sub(w) as isize;
+        }
+        let d_pipes = match (!st.is_empty(), !(fwd_empty && bwd_empty)) {
+            (false, true) => 1isize,
+            (true, false) => -1,
+            _ => 0,
+        };
+        for s in [st.key.lo, st.key.hi] {
+            let e = delta.at(s);
+            e.links += d_links;
+            e.pipes += d_pipes;
+        }
+    }
+
+    /// The score after `delta`, from the committed score `base`: per
+    /// touched switch, the degree excess and liveness its new incident
+    /// links, live pipes and members give.
+    fn probed_score(
+        &self,
+        delta: &ProbeDelta,
+        (base_excess, base_area): (usize, usize),
+        config: &SynthesisConfig,
+    ) -> (usize, usize) {
+        let max_degree = config.max_degree() as isize;
+        let mut d_excess = delta.width_excess;
+        let mut d_live = 0isize;
+        for e in &delta.switches {
+            let s = e.switch;
+            let members = self.members[s].len() as isize;
+            let deg_old = members + self.incident_links[s] as isize;
+            let deg_new = deg_old + e.links + e.members;
+            d_excess += (deg_new - max_degree).max(0) - (deg_old - max_degree).max(0);
+            let now_live = members + e.members > 0 || self.incident_pipes[s] as isize + e.pipes > 0;
+            d_live += isize::from(now_live) - isize::from(self.switch_live[s]);
+        }
+        (
+            (base_excess as isize + d_excess) as usize,
+            (base_area as isize + delta.links + d_live) as usize,
+        )
+    }
+
     /// The exact [`Partitioning::score`] the partitioning would have after
     /// rerouting flow `idx` onto `new_path`, assembled as committed score
     /// plus per-touched-pipe deltas (links, width excess, switch degree
@@ -893,73 +1047,32 @@ impl Partitioning {
         new_path: &[usize],
         config: &SynthesisConfig,
     ) -> (usize, usize) {
-        let (base_excess, base_area) = self.score(config);
+        let base = self.score(config);
         self.collect_probe_toggles(idx, new_path);
         let toggles = std::mem::take(&mut self.probe_toggles);
-        let mut switches = std::mem::take(&mut self.probe_switches);
-        switches.clear();
-        let max_degree = config.max_degree() as isize;
-        let width_cap = config.max_pipe_width();
-        let mut d_links_total = 0isize;
-        let mut d_excess = 0isize;
+        let mut delta = std::mem::take(&mut self.probe_delta);
+        delta.clear();
         let mut i = 0;
         while i < toggles.len() {
             let slot = toggles[i] / 2;
             let flip_fwd = toggles[i].is_multiple_of(2);
             let flip_both = flip_fwd && i + 1 < toggles.len() && toggles[i + 1] == slot * 2 + 1;
-            let was_nonempty = !self.pipe_slots[slot].is_empty();
-            let (new_fwd, fwd_empty) = if flip_fwd {
+            let fwd = if flip_fwd {
                 self.flipped_dir_links(slot, 0, idx)
             } else {
-                let d = &self.pipe_slots[slot].dirs[0];
-                (d.links, d.n == 0)
+                self.committed_dir(slot, 0)
             };
-            let (new_bwd, bwd_empty) = if !flip_fwd || flip_both {
+            let bwd = if !flip_fwd || flip_both {
                 self.flipped_dir_links(slot, 1, idx)
             } else {
-                let d = &self.pipe_slots[slot].dirs[1];
-                (d.links, d.n == 0)
+                self.committed_dir(slot, 1)
             };
-            let old_links = self.pipe_slots[slot].links;
-            let new_links = new_fwd.max(new_bwd);
-            let d_links = new_links as isize - old_links as isize;
-            d_links_total += d_links;
-            if let Some(w) = width_cap {
-                d_excess +=
-                    new_links.saturating_sub(w) as isize - old_links.saturating_sub(w) as isize;
-            }
-            let now_nonempty = !(fwd_empty && bwd_empty);
-            let d_pipes = match (was_nonempty, now_nonempty) {
-                (false, true) => 1isize,
-                (true, false) => -1,
-                _ => 0,
-            };
-            let key = self.pipe_slots[slot].key;
-            for s in [key.lo, key.hi] {
-                if let Some(entry) = switches.iter_mut().find(|e| e.0 == s) {
-                    entry.1 += d_links;
-                    entry.2 += d_pipes;
-                } else {
-                    switches.push((s, d_links, d_pipes));
-                }
-            }
+            self.tally_pipe(&mut delta, slot, fwd, bwd, config.max_pipe_width());
             i += if flip_both { 2 } else { 1 };
         }
-        let mut d_live = 0isize;
-        for &(s, d_links, d_pipes) in &switches {
-            let deg_old = (self.members[s].len() + self.incident_links[s]) as isize;
-            let deg_new = deg_old + d_links;
-            d_excess += (deg_new - max_degree).max(0) - (deg_old - max_degree).max(0);
-            let now_live =
-                !self.members[s].is_empty() || self.incident_pipes[s] as isize + d_pipes > 0;
-            d_live += isize::from(now_live) - isize::from(self.switch_live[s]);
-        }
+        let probed = self.probed_score(&delta, base, config);
         self.probe_toggles = toggles;
-        self.probe_switches = switches;
-        let probed = (
-            (base_excess as isize + d_excess) as usize,
-            (base_area as isize + d_links_total + d_live) as usize,
-        );
+        self.probe_delta = delta;
         #[cfg(debug_assertions)]
         {
             let old_path = self.paths[idx].clone();
@@ -967,6 +1080,170 @@ impl Partitioning {
             let actual = self.score(config);
             self.set_path(idx, &old_path);
             debug_assert_eq!(probed, actual, "probe_score diverged from full recompute");
+        }
+        probed
+    }
+
+    /// Gathers the `(directed resource, flow)` crossings that would flip
+    /// if each `(proc, to)` of `relocations` moved: every flow of a moved
+    /// processor (once, even when both endpoints move) leaves its
+    /// committed path for the direct path under the trial homes. Sorted,
+    /// with pairs crossed both before and after cancelled; candidate pipes
+    /// are interned as in [`Partitioning::collect_probe_toggles`].
+    fn collect_relocation_toggles(&mut self, relocations: &[(ProcId, usize)]) {
+        let universe = self.paths.len();
+        let n_cliques = self.pattern.cliques().len();
+        let mut flows = std::mem::take(&mut self.reloc_flows);
+        let mut toggles = std::mem::take(&mut self.reloc_toggles);
+        flows.clear();
+        toggles.clear();
+        for &(proc, to) in relocations {
+            if self.home[proc.index()] != to {
+                flows.extend_from_slice(&self.proc_flows[proc.index()]);
+            }
+        }
+        flows.sort_unstable();
+        flows.dedup();
+        let trial_home = |home: &[usize], proc: ProcId| {
+            relocations
+                .iter()
+                .find(|&&(q, _)| q == proc)
+                .map_or(home[proc.index()], |&(_, to)| to)
+        };
+        for &idx in &flows {
+            for w in self.paths[idx].windows(2) {
+                let key = PipeKey::new(w[0], w[1]);
+                // A committed crossing is always interned.
+                let slot = self.pipe_lookup[key.lo * self.pipe_stride + key.hi] as usize;
+                toggles.push((slot * 2 + dir_index(key, w[0]), idx));
+            }
+            let flow = self.pattern.flows()[idx];
+            let hs = trial_home(&self.home, flow.src);
+            let hd = trial_home(&self.home, flow.dst);
+            if hs != hd {
+                let key = PipeKey::new(hs, hd);
+                let slot = intern_pipe_slot(
+                    &mut self.pipe_ids,
+                    &mut self.pipe_slots,
+                    &mut self.pipe_lookup,
+                    self.pipe_stride,
+                    universe,
+                    n_cliques,
+                    key,
+                );
+                toggles.push((slot * 2 + dir_index(key, hs), idx));
+            }
+        }
+        // Each path is simple, so a (resource, flow) pair occurs at most
+        // twice: once before and once after.
+        cancel_pairs(&mut toggles);
+        self.reloc_flows = flows;
+        self.reloc_toggles = toggles;
+    }
+
+    /// Link estimate of direction `dir` of `slot` with every flow of
+    /// `flips` (one run of `(resource, flow)` toggles) flipped, plus
+    /// whether the direction would then be empty; commits nothing. One
+    /// flip is [`Partitioning::flipped_dir_links`]. For several, `Fast`
+    /// applies them to a copy of the clique counts and `Exact` colors the
+    /// flipped set in a scratch bitset through `chi_cache`.
+    fn flipped_group_links(
+        &mut self,
+        slot: usize,
+        dir: usize,
+        flips: &[(usize, usize)],
+    ) -> (usize, bool) {
+        if let [(_, idx)] = *flips {
+            return self.flipped_dir_links(slot, dir, idx);
+        }
+        let d = &self.pipe_slots[slot].dirs[dir];
+        let removed = flips.iter().filter(|&&(_, f)| d.set.contains(f)).count();
+        if d.n + flips.len() == 2 * removed {
+            return (0, true);
+        }
+        let links = match self.strategy {
+            ColoringStrategy::Fast => d.cliques.max_flipped(
+                flips
+                    .iter()
+                    .map(|&(_, f)| (self.flow_cliques[f].as_slice(), d.set.contains(f))),
+                &mut self.reloc_counts,
+            ),
+            ColoringStrategy::Exact => {
+                self.dir_scratch.clone_from(&d.set);
+                for &(_, f) in flips {
+                    self.dir_scratch.toggle(f);
+                }
+                exact_links(
+                    &self.interner,
+                    self.pattern.contention(),
+                    &mut self.chi_cache,
+                    &self.dir_scratch,
+                )
+            }
+        };
+        (links, false)
+    }
+
+    /// The `(total_links, score)` the partitioning would report after
+    /// [`Partitioning::move_proc`] of every `(proc, to)` in `relocations`
+    /// (distinct processors) — the paper's move evaluation "assuming
+    /// direct routes" — computed from the toggled crossings and the
+    /// moved processors' member changes alone; no committed state
+    /// changes. In debug builds the result is checked against a real
+    /// apply-score-undo.
+    pub(crate) fn probe_relocation(
+        &mut self,
+        relocations: &[(ProcId, usize)],
+        config: &SynthesisConfig,
+    ) -> (usize, (usize, usize)) {
+        debug_assert!(
+            relocations
+                .iter()
+                .enumerate()
+                .all(|(i, (q, _))| relocations[..i].iter().all(|(r, _)| r != q)),
+            "relocated processors must be distinct"
+        );
+        let base = self.score(config);
+        self.collect_relocation_toggles(relocations);
+        let toggles = std::mem::take(&mut self.reloc_toggles);
+        let mut delta = std::mem::take(&mut self.probe_delta);
+        delta.clear();
+        for &(proc, to) in relocations {
+            let from = self.home[proc.index()];
+            if from != to {
+                delta.at(from).members -= 1;
+                delta.at(to).members += 1;
+            }
+        }
+        let mut i = 0;
+        while i < toggles.len() {
+            let slot = toggles[i].0 / 2;
+            let mut dirs = [None; 2];
+            while i < toggles.len() && toggles[i].0 / 2 == slot {
+                let resource = toggles[i].0;
+                let run = toggles[i..].partition_point(|t| t.0 == resource);
+                dirs[resource % 2] =
+                    Some(self.flipped_group_links(slot, resource % 2, &toggles[i..i + run]));
+                i += run;
+            }
+            let [fwd, bwd] =
+                [0, 1].map(|dir| dirs[dir].unwrap_or_else(|| self.committed_dir(slot, dir)));
+            self.tally_pipe(&mut delta, slot, fwd, bwd, config.max_pipe_width());
+        }
+        let probed = (
+            (self.total_links as isize + delta.links) as usize,
+            self.probed_score(&delta, base, config),
+        );
+        self.reloc_toggles = toggles;
+        self.probe_delta = delta;
+        #[cfg(debug_assertions)]
+        {
+            let actual =
+                moves::evaluate_with(self, relocations, |p| (p.total_links(), p.score(config)));
+            debug_assert_eq!(
+                probed, actual,
+                "probe_relocation diverged from apply-and-undo"
+            );
         }
         probed
     }
@@ -1000,6 +1277,7 @@ impl Partitioning {
 
     /// All flow indices with `proc` as an endpoint (precomputed,
     /// ascending).
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn flows_of_proc(&self, proc: ProcId) -> &[usize] {
         &self.proc_flows[proc.index()]
     }
@@ -1485,6 +1763,127 @@ mod tests {
             }
             p.assert_consistent();
         }
+    }
+
+    /// Eight processors over shift and XOR-exchange phases: every XOR
+    /// partner pair shares a flow in each direction.
+    fn pattern8() -> AppPattern {
+        let mut s = PhaseSchedule::new(8);
+        for k in [1, 3] {
+            s.push(Phase::from_flows((0..8).map(|a| (a, (a + k) % 8))).unwrap())
+                .unwrap();
+        }
+        for x in [1, 2] {
+            s.push(Phase::from_flows((0..8).map(|a| (a, a ^ x))).unwrap())
+                .unwrap();
+        }
+        AppPattern::from_schedule(&s)
+    }
+
+    /// Detours a random cross-switch flow through a random third switch.
+    fn install_detour(p: &mut Partitioning, rng: &mut Rng) {
+        let idx = rng.gen_range(0..p.paths.len());
+        let (hs, hd) = p.direct_endpoints(idx);
+        let via = rng.gen_range(0..p.n_switches());
+        if hs != hd && via != hs && via != hd {
+            p.set_path(idx, &[hs, via, hd]);
+        }
+    }
+
+    #[test]
+    fn probe_relocation_matches_apply_and_undo() {
+        // Random placements over 3–5 switches with detoured routes, under
+        // both colorings, with and without a pipe-width bound. Besides
+        // random single moves and swaps, every round probes a move that
+        // empties its source switch (a refine merge), a move onto an
+        // empty, dead switch, and a swap of two processors that share a
+        // flow. (The probe's own debug oracle re-checks every call too;
+        // this keeps the guarantee alive with debug assertions off.)
+        let pattern = pattern8();
+        let mut seen = [0usize; 5];
+        for (case, (coloring, width)) in [
+            (ColoringStrategy::Fast, None),
+            (ColoringStrategy::Fast, Some(1)),
+            (ColoringStrategy::Exact, None),
+            (ColoringStrategy::Exact, Some(1)),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut config = SynthesisConfig::new().with_max_degree(4);
+            if let Some(w) = width {
+                config = config.with_max_pipe_width(w);
+            }
+            let mut rng = Rng::seed_from_u64(0x5EED + case as u64);
+            let mut p = Partitioning::megaswitch(&pattern).unwrap();
+            p.set_strategy(coloring);
+            for _ in 0..rng.gen_range(2..5usize) {
+                p.add_switch();
+            }
+            for proc in 0..8 {
+                let to = rng.gen_range(0..p.n_switches());
+                p.move_proc(ProcId(proc), to);
+            }
+            for round in 0..60 {
+                // Vary the committed base: a move, then some detours.
+                let proc = ProcId(rng.gen_range(0..8usize));
+                let to = rng.gen_range(0..p.n_switches());
+                p.move_proc(proc, to);
+                for _ in 0..3 {
+                    install_detour(&mut p, &mut rng);
+                }
+                let mut cases: Vec<(usize, Vec<(ProcId, usize)>)> = Vec::new();
+                let other = |p: &Partitioning, rng: &mut Rng, proc: ProcId| loop {
+                    let to = rng.gen_range(0..p.n_switches());
+                    if to != p.home(proc) {
+                        break to;
+                    }
+                };
+                let proc = ProcId(rng.gen_range(0..8usize));
+                cases.push((0, vec![(proc, other(&p, &mut rng, proc))]));
+                let (a, b) = (
+                    ProcId(rng.gen_range(0..8usize)),
+                    ProcId(rng.gen_range(0..8usize)),
+                );
+                if p.home(a) != p.home(b) {
+                    cases.push((1, vec![(a, p.home(b)), (b, p.home(a))]));
+                }
+                if let Some(proc) = (0..8)
+                    .map(ProcId)
+                    .find(|&q| p.members(p.home(q)).len() == 1)
+                {
+                    cases.push((2, vec![(proc, other(&p, &mut rng, proc))]));
+                }
+                let dead = match (0..p.n_switches()).find(|&s| !p.switch_live[s]) {
+                    Some(s) => s,
+                    None => p.add_switch(),
+                };
+                cases.push((3, vec![(proc, dead)]));
+                let idx = rng.gen_range(0..p.paths.len());
+                let flow = p.pattern.flows()[idx];
+                let (hs, hd) = p.direct_endpoints(idx);
+                if hs != hd {
+                    cases.push((4, vec![(flow.src, hd), (flow.dst, hs)]));
+                }
+                for (kind, relocations) in cases {
+                    let what = format!("case {case} round {round} kind {kind}: {relocations:?}");
+                    let before = p.search_state();
+                    let probed = p.probe_relocation(&relocations, &config);
+                    assert_eq!(p.search_state(), before, "{what}: the probe moved state");
+                    let actual = moves::evaluate_with(&mut p, &relocations, |p| {
+                        (p.total_links(), p.score(&config))
+                    });
+                    assert_eq!(probed, actual, "{what}");
+                    assert_eq!(p.search_state(), before, "{what}: the oracle moved state");
+                    p.assert_consistent();
+                    seen[kind] += 1;
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "uncovered relocation kinds: {seen:?}"
+        );
     }
 
     #[test]

@@ -241,9 +241,23 @@ impl ResourceInterner {
 /// a.toggle(129);
 /// assert_eq!(a, BitSet::new());
 /// ```
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct BitSet {
     words: Vec<u64>,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            words: self.words.clone(),
+        }
+    }
+
+    /// Reuses `self`'s word buffer: copying into a scratch set of the
+    /// same universe allocates nothing (the derived impl would).
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl BitSet {
@@ -480,6 +494,16 @@ mod tests {
     fn foreign_flow_is_rejected() {
         let interner = FlowInterner::from_flows([Flow::from_indices(0, 1)]);
         let _ = interner.set_of([Flow::from_indices(5, 6)]);
+    }
+
+    #[test]
+    fn clone_from_reuses_the_word_buffer() {
+        let source = BitSet::from_iter([3, 70, 129]);
+        let mut scratch = BitSet::with_capacity(192);
+        let buffer = scratch.words.as_ptr();
+        scratch.clone_from(&source);
+        assert_eq!(scratch, source);
+        assert_eq!(scratch.words.as_ptr(), buffer, "clone_from reallocated");
     }
 
     #[test]

@@ -10,10 +10,22 @@
 //! placement means a skipped pass was not a true replay. The annealed
 //! case is one whose result changes if a repair cycle that only rerouted
 //! flows is taken for a replay.
+//!
+//! The move-heavy searches are pinned too: restart 0 of CG16 and SP16,
+//! CG16 under exact coloring, and CG16 under a pipe-width bound. Their
+//! time goes to scoring processor moves and swaps, so these pins cover
+//! the relocation probe's `Fast`, `Exact` and width-excess branches. They
+//! were recorded while moves were still scored by applying and undoing
+//! them.
+//!
+//! `ci.sh` also runs this file in release: debug builds check every probe
+//! against an apply-and-undo oracle, which perturbs pipe-slot order and
+//! memo generations, so only a release run exercises the shipped path.
 
 use nocsyn::model::sha256;
 use nocsyn::synth::{
-    synthesize_attempt, AcceptanceRule, AppPattern, SynthesisConfig, SynthesisResult,
+    synthesize_attempt, AcceptanceRule, AppPattern, ColoringStrategy, SynthesisConfig,
+    SynthesisResult,
 };
 use nocsyn::topo::to_dot;
 use nocsyn::workloads::{Benchmark, WorkloadParams};
@@ -111,6 +123,68 @@ fn fft16_annealed_attempt4_is_pinned() {
             placement: vec![8, 2, 0, 6, 15, 14, 5, 9, 3, 7, 10, 4, 11, 1, 12, 13],
             network: "fc71c98cacc94bdc46780db4647497183e966db11c4deb20cba38bde9a40514f".into(),
             routes: "9e2fe42b4516dd9227646b0c1fedecdfc22e515f3b79801cf3b385dbb6787475".into(),
+        }
+    );
+}
+
+#[test]
+fn cg16_attempt0_is_pinned() {
+    assert_eq!(
+        attempt(Benchmark::Cg, 16, &SynthesisConfig::new(), 0),
+        Golden {
+            n_links: 10,
+            n_switches: 8,
+            constraints_met: true,
+            placement: vec![6, 2, 4, 6, 2, 0, 0, 5, 4, 3, 3, 7, 1, 5, 7, 1],
+            network: "d4ba0e3482abb4d8f43b1dc3a98313904211a74b61817270be03f5af871a7064".into(),
+            routes: "b02640aaaf617f2391608ad670917ea3475aa055cc122642c93fb4c2b7cb6938".into(),
+        }
+    );
+}
+
+#[test]
+fn sp16_attempt0_is_pinned() {
+    assert_eq!(
+        attempt(Benchmark::Sp, 16, &SynthesisConfig::new(), 0),
+        Golden {
+            n_links: 32,
+            n_switches: 16,
+            constraints_met: true,
+            placement: vec![15, 7, 14, 8, 4, 3, 9, 11, 13, 12, 2, 5, 6, 0, 10, 1],
+            network: "a4c661067a3b9c79c52fa18baf6f0b7d246f01acf29a64fe41315ca168766b75".into(),
+            routes: "e336faa92d0ef83fe7bb16c2a04aaa61cc73d0404b5cfb989918f0c605978ced".into(),
+        }
+    );
+}
+
+#[test]
+fn cg16_exact_coloring_attempt0_is_pinned() {
+    let config = SynthesisConfig::new().with_coloring(ColoringStrategy::Exact);
+    assert_eq!(
+        attempt(Benchmark::Cg, 16, &config, 0),
+        Golden {
+            n_links: 10,
+            n_switches: 8,
+            constraints_met: true,
+            placement: vec![6, 2, 4, 6, 2, 0, 0, 5, 4, 3, 3, 7, 1, 5, 7, 1],
+            network: "d4ba0e3482abb4d8f43b1dc3a98313904211a74b61817270be03f5af871a7064".into(),
+            routes: "b02640aaaf617f2391608ad670917ea3475aa055cc122642c93fb4c2b7cb6938".into(),
+        }
+    );
+}
+
+#[test]
+fn cg16_pipe_width_attempt0_is_pinned() {
+    let config = SynthesisConfig::new().with_seed(2).with_max_pipe_width(2);
+    assert_eq!(
+        attempt(Benchmark::Cg, 16, &config, 0),
+        Golden {
+            n_links: 10,
+            n_switches: 8,
+            constraints_met: true,
+            placement: vec![1, 7, 0, 1, 7, 5, 5, 6, 3, 3, 3, 0, 4, 6, 2, 4],
+            network: "f3ac5e47b44e60a26f8e4454f2ca4a1876913b3cc648799907648460ed404a87".into(),
+            routes: "7db239f57ac8f9042bef3e027cc98f67d434cfb66ac975f424a0185f70c397da".into(),
         }
     );
 }
