@@ -34,6 +34,11 @@ echo "==> golden networks of the repair search, in release"
 # release binaries and the benchmark run. The goldens must hold there too.
 cargo test --release --offline --test golden_exactness
 
+echo "==> golden certificate pins and the forged-proof rejections, in release"
+# The pinned certificate bytes and bindings must hold on the release path
+# the binaries and the benchmark run, not only in the debug run above.
+cargo test --release --offline --test certify_adversarial
+
 echo "==> nocbench builds and its tests pass against the workspace crates"
 # The repo benchmark is a separate package that builds the workspace
 # crates from source; a renamed public item must fail here, not at

@@ -41,6 +41,14 @@ const BITS: usize = u64::BITS as usize;
 /// Ids are assigned by lexicographic flow order, so `id` / `flow` are
 /// order-preserving bijections between ids and member flows.
 ///
+/// A per-source row table makes [`id`](FlowInterner::id) cheap enough for
+/// lookups by the ten-thousand (certificate binding and checking): it
+/// reads the id range of the flow's source and binary-searches only that
+/// source's destinations. The table covers sources below
+/// `2 * len + 64`; a flow with a larger source (sparse or hostile input)
+/// falls back to one binary search over that tail, so the table never
+/// outgrows the flows it indexes.
+///
 /// ```
 /// use nocsyn_model::{Flow, FlowInterner};
 ///
@@ -57,6 +65,9 @@ const BITS: usize = u64::BITS as usize;
 pub struct FlowInterner {
     /// Sorted, deduplicated member flows; a flow's index is its id.
     flows: Vec<Flow>,
+    /// `rows[s]..rows[s + 1]` holds the ids of the flows with source `s`;
+    /// the last entry starts the tail of sources past the table.
+    rows: Vec<u32>,
 }
 
 impl FlowInterner {
@@ -65,7 +76,7 @@ impl FlowInterner {
         let mut flows: Vec<Flow> = flows.into_iter().collect();
         flows.sort_unstable();
         flows.dedup();
-        FlowInterner { flows }
+        Self::from_sorted_flows(flows)
     }
 
     /// Wraps an already strictly sorted flow list without re-sorting.
@@ -78,7 +89,19 @@ impl FlowInterner {
             flows.windows(2).all(|w| w[0] < w[1]),
             "flows must be strictly sorted"
         );
-        FlowInterner { flows }
+        let sources = flows
+            .last()
+            .map_or(0, |f| f.src.index().saturating_add(1))
+            .min(2 * flows.len() + 64);
+        let mut rows = Vec::with_capacity(sources + 1);
+        let mut id = 0;
+        for s in 0..=sources {
+            while flows.get(id).is_some_and(|f| f.src.index() < s) {
+                id += 1;
+            }
+            rows.push(id as u32);
+        }
+        FlowInterner { flows, rows }
     }
 
     /// Number of interned flows — the universe size of this interner's
@@ -94,7 +117,15 @@ impl FlowInterner {
 
     /// The id of `flow`, if it is a member.
     pub fn id(&self, flow: Flow) -> Option<usize> {
-        self.flows.binary_search(&flow).ok()
+        let s = flow.src.index();
+        let (lo, hi) = match (self.rows.get(s), self.rows.get(s.wrapping_add(1))) {
+            (Some(&lo), Some(&hi)) => (lo as usize, hi as usize),
+            _ => (
+                self.rows.last().map_or(0, |&t| t as usize),
+                self.flows.len(),
+            ),
+        };
+        self.flows[lo..hi].binary_search(&flow).ok().map(|i| lo + i)
     }
 
     /// The flow with the given id.

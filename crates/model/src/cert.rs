@@ -23,7 +23,7 @@ use std::fmt;
 
 use crate::json::{self, JsonValue};
 use crate::text::ParseLimits;
-use crate::{CanonicalForm, Digest, Flow, FlowPair};
+use crate::{CanonicalForm, Digest, Flow, FlowInterner, FlowPair};
 
 /// Schema tag accepted by this version of the certificate format.
 pub const CERT_SCHEMA: &str = "nocsyn-cert-v1";
@@ -33,7 +33,7 @@ pub const CERT_SCHEMA: &str = "nocsyn-cert-v1";
 pub struct CertWitness {
     /// The contention pair that collides.
     pub pair: FlowPair,
-    /// The shared channel labels (sorted, deduplicated).
+    /// The shared channel labels, strictly ascending.
     pub shared: Vec<String>,
 }
 
@@ -52,7 +52,8 @@ pub struct Certificate {
     pub cliques: Vec<Vec<Flow>>,
     /// The `C ∩ R = ∅` obligations: contention pairs with both ends routed.
     pub obligations: Vec<FlowPair>,
-    /// Per-route resource sets: sorted channel labels each flow crosses.
+    /// Per-route resource sets: the channel labels each flow crosses,
+    /// strictly ascending ([`Certificate::parse`] rejects any other order).
     pub routes: BTreeMap<Flow, Vec<String>>,
     /// Per-channel crossing flow sets (the inverse of `routes`).
     pub crossings: BTreeMap<String, Vec<Flow>>,
@@ -66,148 +67,254 @@ pub struct Certificate {
     pub claimed_binding: Option<String>,
 }
 
-fn flow_key(f: Flow) -> String {
-    format!("{}>{}", f.src.index(), f.dst.index())
-}
-
-fn pair_key(p: FlowPair) -> String {
-    format!("{}|{}", flow_key(p.first()), flow_key(p.second()))
-}
-
 impl Certificate {
     /// The payload digest binding every semantic field together.
     ///
     /// Computed over a [`CanonicalForm`] whose fields are normalized
     /// renderings of each collection, so it is independent of in-memory
-    /// ordering and of JSON whitespace.
+    /// ordering and of JSON whitespace. A flow renders as its key
+    /// `src>dst` and a pair as `first|second`. Cliques (members and
+    /// cliques alike), obligations and witnesses (`pair:shared`) are
+    /// sorted by the bytes of that rendering; routes and crossings keep
+    /// map order. The sorts run over integer ranks of the few distinct
+    /// flows, and every field is written into one buffer.
     pub fn binding(&self) -> Digest {
-        let mut cliques: Vec<String> = self
+        let mut flows = FlowKeys::new(self.routes.keys().copied().collect());
+        let cliques: Vec<Vec<u32>> = self
             .cliques
             .iter()
-            .map(|c| {
-                let mut flows: Vec<String> = c.iter().map(|f| flow_key(*f)).collect();
-                flows.sort();
-                flows.join(",")
-            })
+            .map(|c| c.iter().map(|&f| flows.id(f)).collect())
             .collect();
-        cliques.sort();
-        let mut obligations: Vec<String> = self.obligations.iter().map(|p| pair_key(*p)).collect();
-        obligations.sort();
-        let routes: Vec<String> = self
-            .routes
-            .iter()
-            .map(|(f, chans)| format!("{}:{}", flow_key(*f), chans.join(",")))
-            .collect();
-        let crossings: Vec<String> = self
-            .crossings
-            .iter()
-            .map(|(ch, flows)| {
-                let keys: Vec<String> = flows.iter().map(|f| flow_key(*f)).collect();
-                format!("{}:{}", ch, keys.join(","))
-            })
-            .collect();
-        let mut witnesses: Vec<String> = self
+        let obligations: Vec<[u32; 2]> = self.obligations.iter().map(|&p| flows.pair(p)).collect();
+        let mut witnesses: Vec<([u32; 2], &[String])> = self
             .witnesses
             .iter()
-            .map(|w| format!("{}:{}", pair_key(w.pair), w.shared.join(",")))
+            .map(|w| (flows.pair(w.pair), w.shared.as_slice()))
             .collect();
-        witnesses.sort();
+        let crossing_ids: Vec<u32> = self
+            .crossings
+            .values()
+            .flatten()
+            .map(|&f| flows.id(f))
+            .collect();
+        let keys = flows.into_keys();
+        let first = KeyOrder::new(&keys, b'|');
+        let plain = KeyOrder::new(&keys, b',');
+        let witness_second = KeyOrder::new(&keys, b':');
+        let key = |id: u32| keys[id as usize].as_str();
+
+        let mut buf = String::with_capacity(16 * (obligations.len() + crossing_ids.len()) + 64);
+        let mut ends = [0usize; 5];
+
+        // A clique string joins its members in key order (`key,` order
+        // equals plain key order: every key byte sorts above `,`), and
+        // comparing two clique strings compares their member sequences
+        // token by token, because no `key,` token is a prefix of another.
+        let mut cliques: Vec<Vec<u32>> = cliques
+            .into_iter()
+            .map(|c| {
+                let mut ranks: Vec<u32> = c.iter().map(|&id| plain.rank(id)).collect();
+                ranks.sort_unstable();
+                ranks
+            })
+            .collect();
+        cliques.sort_unstable();
+        for (i, c) in cliques.iter().enumerate() {
+            if i > 0 {
+                buf.push(';');
+            }
+            for (j, &r) in c.iter().enumerate() {
+                if j > 0 {
+                    buf.push(',');
+                }
+                buf.push_str(key(plain.id(r)));
+            }
+        }
+        ends[0] = buf.len();
+
+        // `a|b` strings: `a|` tokens are prefix-free, so they order by the
+        // rank of `key + "|"` — not of `key`, since `1>23|` < `1>2|` — and
+        // ties order by the plain key of `b`.
+        let mut ranked: Vec<u64> = obligations
+            .iter()
+            .map(|&[a, b]| (u64::from(first.rank(a)) << 32) | u64::from(plain.rank(b)))
+            .collect();
+        ranked.sort_unstable();
+        for (i, &r) in ranked.iter().enumerate() {
+            if i > 0 {
+                buf.push(';');
+            }
+            buf.push_str(key(first.id((r >> 32) as u32)));
+            buf.push('|');
+            buf.push_str(key(plain.id(r as u32)));
+        }
+        ends[1] = buf.len();
+
+        // Route flows are interned first, so the i-th route's flow is id i.
+        for (i, chans) in self.routes.values().enumerate() {
+            if i > 0 {
+                buf.push(';');
+            }
+            buf.push_str(key(i as u32));
+            buf.push(':');
+            push_joined(&mut buf, chans);
+        }
+        ends[2] = buf.len();
+
+        let mut ids = crossing_ids.iter();
+        for (i, (ch, list)) in self.crossings.iter().enumerate() {
+            if i > 0 {
+                buf.push(';');
+            }
+            buf.push_str(ch);
+            buf.push(':');
+            for (j, id) in ids.by_ref().take(list.len()).enumerate() {
+                if j > 0 {
+                    buf.push(',');
+                }
+                buf.push_str(key(*id));
+            }
+        }
+        ends[3] = buf.len();
+
+        // `a|b:shared`: after the `a|` token, `b:` tokens order by the
+        // rank of `key + ":"`, and equal pairs by the joined labels.
+        witnesses.sort_by(|(p, x), (q, y)| {
+            (first.rank(p[0]), witness_second.rank(p[1]))
+                .cmp(&(first.rank(q[0]), witness_second.rank(q[1])))
+                .then_with(|| joined_bytes(x).cmp(joined_bytes(y)))
+        });
+        for (i, ([a, b], shared)) in witnesses.iter().enumerate() {
+            if i > 0 {
+                buf.push(';');
+            }
+            buf.push_str(key(*a));
+            buf.push('|');
+            buf.push_str(key(*b));
+            buf.push(':');
+            push_joined(&mut buf, shared);
+        }
+        ends[4] = buf.len();
+
         CanonicalForm::new()
             .field("schema", CERT_SCHEMA)
             .field("n_procs", self.n_procs)
             .field("contention_free", self.contention_free)
-            .field("cliques", cliques.join(";"))
-            .field("obligations", obligations.join(";"))
-            .field("routes", routes.join(";"))
-            .field("crossings", crossings.join(";"))
-            .field("witnesses", witnesses.join(";"))
+            .field("cliques", &buf[..ends[0]])
+            .field("obligations", &buf[ends[0]..ends[1]])
+            .field("routes", &buf[ends[1]..ends[2]])
+            .field("crossings", &buf[ends[2]..ends[3]])
+            .field("witnesses", &buf[ends[3]..ends[4]])
             .field("job", self.job.as_deref().unwrap_or("none"))
             .digest()
     }
 
     /// Renders the certificate as a deterministic single-line JSON object
     /// with a freshly computed `binding` digest.
+    ///
+    /// Cliques (each sorted), obligations and witnesses are written in
+    /// flow order; routes and crossings in map order. The text is streamed
+    /// into one pre-sized `String`; strings go through
+    /// [`json::write_escaped`], the escaper [`JsonValue`] renders with.
     pub fn to_json(&self) -> String {
-        let flow_json = |f: &Flow| {
-            JsonValue::array([
-                JsonValue::from(f.src.index()),
-                JsonValue::from(f.dst.index()),
-            ])
-        };
+        let labels: usize = self.routes.values().flatten().map(|l| l.len() + 3).sum();
+        let flows = self.cliques.iter().map(Vec::len).sum::<usize>()
+            + 2 * (self.obligations.len() + self.witnesses.len())
+            + self.routes.len()
+            + self.crossings.values().map(Vec::len).sum::<usize>();
+        let mut out = String::with_capacity(256 + 10 * flows + 2 * labels);
+
+        out.push_str("{\"schema\":");
+        push_escaped(&mut out, CERT_SCHEMA);
+        out.push_str(",\"n_procs\":");
+        push_uint(&mut out, self.n_procs);
+        out.push_str(",\"contention_free\":");
+        out.push_str(if self.contention_free {
+            "true"
+        } else {
+            "false"
+        });
+
+        out.push_str(",\"cliques\":[");
         let mut cliques: Vec<Vec<Flow>> = self
             .cliques
             .iter()
             .map(|c| {
                 let mut c = c.clone();
-                c.sort();
+                c.sort_unstable();
                 c
             })
             .collect();
-        cliques.sort();
-        let mut obligations = self.obligations.clone();
-        obligations.sort();
-        let mut witnesses = self.witnesses.clone();
-        witnesses.sort_by_key(|w| w.pair);
-        let mut fields = vec![
-            ("schema", JsonValue::from(CERT_SCHEMA)),
-            ("n_procs", JsonValue::from(self.n_procs)),
-            ("contention_free", JsonValue::from(self.contention_free)),
-            (
-                "cliques",
-                JsonValue::array(
-                    cliques
-                        .iter()
-                        .map(|c| JsonValue::array(c.iter().map(flow_json))),
-                ),
-            ),
-            (
-                "obligations",
-                JsonValue::array(
-                    obligations
-                        .iter()
-                        .map(|p| JsonValue::array([flow_json(&p.first()), flow_json(&p.second())])),
-                ),
-            ),
-            (
-                "routes",
-                JsonValue::array(self.routes.iter().map(|(f, chans)| {
-                    JsonValue::object([
-                        ("flow", flow_json(f)),
-                        (
-                            "channels",
-                            JsonValue::array(chans.iter().map(|c| JsonValue::from(c.as_str()))),
-                        ),
-                    ])
-                })),
-            ),
-            (
-                "crossings",
-                JsonValue::array(self.crossings.iter().map(|(ch, flows)| {
-                    JsonValue::object([
-                        ("channel", JsonValue::from(ch.as_str())),
-                        ("flows", JsonValue::array(flows.iter().map(flow_json))),
-                    ])
-                })),
-            ),
-            (
-                "witnesses",
-                JsonValue::array(witnesses.iter().map(|w| {
-                    JsonValue::object([
-                        ("flow_a", flow_json(&w.pair.first())),
-                        ("flow_b", flow_json(&w.pair.second())),
-                        (
-                            "shared",
-                            JsonValue::array(w.shared.iter().map(|c| JsonValue::from(c.as_str()))),
-                        ),
-                    ])
-                })),
-            ),
-        ];
-        if let Some(job) = &self.job {
-            fields.push(("job", JsonValue::from(job.as_str())));
+        cliques.sort_unstable();
+        for (i, c) in cliques.iter().enumerate() {
+            push_sep(&mut out, i);
+            out.push('[');
+            for (j, &f) in c.iter().enumerate() {
+                push_sep(&mut out, j);
+                push_flow(&mut out, f);
+            }
+            out.push(']');
         }
-        fields.push(("binding", JsonValue::from(self.binding().to_hex())));
-        JsonValue::object(fields).to_string()
+
+        out.push_str("],\"obligations\":[");
+        let mut obligations = self.obligations.clone();
+        obligations.sort_unstable();
+        for (i, p) in obligations.iter().enumerate() {
+            push_sep(&mut out, i);
+            out.push('[');
+            push_flow(&mut out, p.first());
+            out.push(',');
+            push_flow(&mut out, p.second());
+            out.push(']');
+        }
+
+        out.push_str("],\"routes\":[");
+        for (i, (&f, chans)) in self.routes.iter().enumerate() {
+            push_sep(&mut out, i);
+            out.push_str("{\"flow\":");
+            push_flow(&mut out, f);
+            out.push_str(",\"channels\":");
+            push_labels(&mut out, chans);
+            out.push('}');
+        }
+
+        out.push_str("],\"crossings\":[");
+        for (i, (ch, list)) in self.crossings.iter().enumerate() {
+            push_sep(&mut out, i);
+            out.push_str("{\"channel\":");
+            push_escaped(&mut out, ch);
+            out.push_str(",\"flows\":[");
+            for (j, &f) in list.iter().enumerate() {
+                push_sep(&mut out, j);
+                push_flow(&mut out, f);
+            }
+            out.push_str("]}");
+        }
+
+        out.push_str("],\"witnesses\":[");
+        // Stable: witnesses declaring the same pair keep their order.
+        let mut witnesses: Vec<&CertWitness> = self.witnesses.iter().collect();
+        witnesses.sort_by_key(|w| w.pair);
+        for (i, w) in witnesses.iter().enumerate() {
+            push_sep(&mut out, i);
+            out.push_str("{\"flow_a\":");
+            push_flow(&mut out, w.pair.first());
+            out.push_str(",\"flow_b\":");
+            push_flow(&mut out, w.pair.second());
+            out.push_str(",\"shared\":");
+            push_labels(&mut out, &w.shared);
+            out.push('}');
+        }
+        out.push(']');
+
+        if let Some(job) = &self.job {
+            out.push_str(",\"job\":");
+            push_escaped(&mut out, job);
+        }
+        out.push_str(",\"binding\":");
+        push_escaped(&mut out, &self.binding().to_hex());
+        out.push('}');
+        out
     }
 
     /// Whether the binding digest claimed by the parsed text matches a
@@ -364,6 +471,141 @@ impl Certificate {
     }
 }
 
+/// The distinct flows one certificate mentions, interned for
+/// [`Certificate::binding`]: routed flows take their route's position as
+/// id, any other flow the next free id.
+struct FlowKeys {
+    routed: FlowInterner,
+    others: BTreeMap<Flow, u32>,
+}
+
+impl FlowKeys {
+    fn new(routed: Vec<Flow>) -> Self {
+        FlowKeys {
+            routed: FlowInterner::from_sorted_flows(routed),
+            others: BTreeMap::new(),
+        }
+    }
+
+    fn id(&mut self, flow: Flow) -> u32 {
+        match self.routed.id(flow) {
+            Some(id) => id as u32,
+            None => {
+                let next = (self.routed.len() + self.others.len()) as u32;
+                *self.others.entry(flow).or_insert(next)
+            }
+        }
+    }
+
+    fn pair(&mut self, pair: FlowPair) -> [u32; 2] {
+        [self.id(pair.first()), self.id(pair.second())]
+    }
+
+    /// The key `src>dst` of every interned flow, indexed by id.
+    fn into_keys(self) -> Vec<String> {
+        let mut keys: Vec<String> = self.routed.flows().iter().map(|&f| flow_key(f)).collect();
+        keys.resize(self.routed.len() + self.others.len(), String::new());
+        for (f, id) in self.others {
+            keys[id as usize] = flow_key(f);
+        }
+        keys
+    }
+}
+
+fn flow_key(f: Flow) -> String {
+    format!("{}>{}", f.src.index(), f.dst.index())
+}
+
+/// Flow ids sorted by the bytes of `key + suffix`, and each id's rank in
+/// that order. Keys are distinct, so ranks are too.
+struct KeyOrder {
+    ids: Vec<u32>,
+    ranks: Vec<u32>,
+}
+
+impl KeyOrder {
+    fn new(keys: &[String], suffix: u8) -> Self {
+        let mut ids: Vec<u32> = (0..keys.len() as u32).collect();
+        ids.sort_unstable_by(|&a, &b| {
+            let (a, b) = (&keys[a as usize], &keys[b as usize]);
+            a.bytes().chain([suffix]).cmp(b.bytes().chain([suffix]))
+        });
+        let mut ranks = vec![0; ids.len()];
+        for (rank, &id) in ids.iter().enumerate() {
+            ranks[id as usize] = rank as u32;
+        }
+        KeyOrder { ids, ranks }
+    }
+
+    fn rank(&self, id: u32) -> u32 {
+        self.ranks[id as usize]
+    }
+
+    fn id(&self, rank: u32) -> u32 {
+        self.ids[rank as usize]
+    }
+}
+
+/// The bytes of `labels.join(",")`, without building the string.
+fn joined_bytes(labels: &[String]) -> impl Iterator<Item = u8> + '_ {
+    labels.iter().enumerate().flat_map(|(i, l)| {
+        let sep: &[u8] = if i > 0 { b"," } else { b"" };
+        sep.iter().copied().chain(l.bytes())
+    })
+}
+
+fn push_joined(buf: &mut String, labels: &[String]) {
+    for (i, l) in labels.iter().enumerate() {
+        if i > 0 {
+            buf.push(',');
+        }
+        buf.push_str(l);
+    }
+}
+
+fn push_sep(out: &mut String, i: usize) {
+    if i > 0 {
+        out.push(',');
+    }
+}
+
+fn push_uint(out: &mut String, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// A flow as the JSON array `[src,dst]`.
+fn push_flow(out: &mut String, f: Flow) {
+    out.push('[');
+    push_uint(out, f.src.index());
+    out.push(',');
+    push_uint(out, f.dst.index());
+    out.push(']');
+}
+
+fn push_escaped(out: &mut String, s: &str) {
+    // Writing into a `String` cannot fail.
+    let _ = json::write_escaped(out, s);
+}
+
+fn push_labels(out: &mut String, labels: &[String]) {
+    out.push('[');
+    for (i, l) in labels.iter().enumerate() {
+        push_sep(out, i);
+        push_escaped(out, l);
+    }
+    out.push(']');
+}
+
 /// Remaining element-mention budget during parsing.
 struct Budget {
     left: usize,
@@ -439,11 +681,17 @@ fn parse_channels(
     let items = v
         .and_then(|v| v.as_array())
         .ok_or(CertError::BadField(name))?;
-    let mut chans = Vec::new();
+    let mut chans: Vec<String> = Vec::with_capacity(items.len());
     for item in items {
         budget.spend()?;
         let label = item.as_str().ok_or(CertError::BadField(name))?;
         check_channel(label)?;
+        // A resource set is listed strictly ascending: honest emitters
+        // sort and dedup, and the checker's disjointness merge relies on
+        // it (an unsorted list could hide a shared channel from it).
+        if chans.last().is_some_and(|prev| prev.as_str() >= label) {
+            return Err(CertError::BadField(name));
+        }
         chans.push(label.to_string());
     }
     Ok(chans)
@@ -621,5 +869,276 @@ mod tests {
         let bad = text.replace(&hex, "zz");
         let err = Certificate::parse(&bad, &ParseLimits::default()).expect_err("bad binding");
         assert_eq!(err.fingerprint(), "cert-bad-field");
+    }
+
+    // -----------------------------------------------------------------
+    // Oracles: the original DOM renderer and string-sort binding, kept
+    // verbatim so the streamed writer and the ranked binding can be
+    // checked against them byte for byte.
+    // -----------------------------------------------------------------
+
+    fn oracle_pair_key(p: FlowPair) -> String {
+        format!("{}|{}", flow_key(p.first()), flow_key(p.second()))
+    }
+
+    fn oracle_binding(cert: &Certificate) -> Digest {
+        let mut cliques: Vec<String> = cert
+            .cliques
+            .iter()
+            .map(|c| {
+                let mut flows: Vec<String> = c.iter().map(|f| flow_key(*f)).collect();
+                flows.sort();
+                flows.join(",")
+            })
+            .collect();
+        cliques.sort();
+        let mut obligations: Vec<String> = cert
+            .obligations
+            .iter()
+            .map(|p| oracle_pair_key(*p))
+            .collect();
+        obligations.sort();
+        let routes: Vec<String> = cert
+            .routes
+            .iter()
+            .map(|(f, chans)| format!("{}:{}", flow_key(*f), chans.join(",")))
+            .collect();
+        let crossings: Vec<String> = cert
+            .crossings
+            .iter()
+            .map(|(ch, flows)| {
+                let keys: Vec<String> = flows.iter().map(|f| flow_key(*f)).collect();
+                format!("{}:{}", ch, keys.join(","))
+            })
+            .collect();
+        let mut witnesses: Vec<String> = cert
+            .witnesses
+            .iter()
+            .map(|w| format!("{}:{}", oracle_pair_key(w.pair), w.shared.join(",")))
+            .collect();
+        witnesses.sort();
+        CanonicalForm::new()
+            .field("schema", CERT_SCHEMA)
+            .field("n_procs", cert.n_procs)
+            .field("contention_free", cert.contention_free)
+            .field("cliques", cliques.join(";"))
+            .field("obligations", obligations.join(";"))
+            .field("routes", routes.join(";"))
+            .field("crossings", crossings.join(";"))
+            .field("witnesses", witnesses.join(";"))
+            .field("job", cert.job.as_deref().unwrap_or("none"))
+            .digest()
+    }
+
+    fn oracle_to_json(cert: &Certificate) -> String {
+        let flow_json = |f: &Flow| {
+            JsonValue::array([
+                JsonValue::from(f.src.index()),
+                JsonValue::from(f.dst.index()),
+            ])
+        };
+        let mut cliques: Vec<Vec<Flow>> = cert
+            .cliques
+            .iter()
+            .map(|c| {
+                let mut c = c.clone();
+                c.sort();
+                c
+            })
+            .collect();
+        cliques.sort();
+        let mut obligations = cert.obligations.clone();
+        obligations.sort();
+        let mut witnesses = cert.witnesses.clone();
+        witnesses.sort_by_key(|w| w.pair);
+        let mut fields = vec![
+            ("schema", JsonValue::from(CERT_SCHEMA)),
+            ("n_procs", JsonValue::from(cert.n_procs)),
+            ("contention_free", JsonValue::from(cert.contention_free)),
+            (
+                "cliques",
+                JsonValue::array(
+                    cliques
+                        .iter()
+                        .map(|c| JsonValue::array(c.iter().map(flow_json))),
+                ),
+            ),
+            (
+                "obligations",
+                JsonValue::array(
+                    obligations
+                        .iter()
+                        .map(|p| JsonValue::array([flow_json(&p.first()), flow_json(&p.second())])),
+                ),
+            ),
+            (
+                "routes",
+                JsonValue::array(cert.routes.iter().map(|(f, chans)| {
+                    JsonValue::object([
+                        ("flow", flow_json(f)),
+                        (
+                            "channels",
+                            JsonValue::array(chans.iter().map(|c| JsonValue::from(c.as_str()))),
+                        ),
+                    ])
+                })),
+            ),
+            (
+                "crossings",
+                JsonValue::array(cert.crossings.iter().map(|(ch, flows)| {
+                    JsonValue::object([
+                        ("channel", JsonValue::from(ch.as_str())),
+                        ("flows", JsonValue::array(flows.iter().map(flow_json))),
+                    ])
+                })),
+            ),
+            (
+                "witnesses",
+                JsonValue::array(witnesses.iter().map(|w| {
+                    JsonValue::object([
+                        ("flow_a", flow_json(&w.pair.first())),
+                        ("flow_b", flow_json(&w.pair.second())),
+                        (
+                            "shared",
+                            JsonValue::array(w.shared.iter().map(|c| JsonValue::from(c.as_str()))),
+                        ),
+                    ])
+                })),
+            ),
+        ];
+        if let Some(job) = &cert.job {
+            fields.push(("job", JsonValue::from(job.as_str())));
+        }
+        fields.push(("binding", JsonValue::from(oracle_binding(cert).to_hex())));
+        JsonValue::object(fields).to_string()
+    }
+
+    /// A random certificate value (not necessarily a valid proof): flow
+    /// indices drawn from a pool rich in decimal prefixes of one another,
+    /// labels that need JSON escapes, duplicates, empty collections, and
+    /// witnesses and `job` present or absent.
+    fn random_cert(rng: &mut nocsyn_rng::Rng) -> Certificate {
+        const POOL: [usize; 14] = [0, 1, 2, 3, 10, 12, 20, 21, 23, 100, 120, 123, 201, 1234];
+        const LABELS: [&str; 9] = [
+            "L0+",
+            "L1-",
+            "L10+",
+            "L1+",
+            "S",
+            "S+",
+            "a\"b",
+            "tab\there",
+            "\u{1}\u{e9}",
+        ];
+        let flow = |rng: &mut nocsyn_rng::Rng| {
+            let src = *rng.choose(&POOL).expect("pool is non-empty");
+            let dst = *rng.choose(&POOL).expect("pool is non-empty");
+            Flow::from_indices(src, dst)
+        };
+        let flows = |rng: &mut nocsyn_rng::Rng, max: usize| -> Vec<Flow> {
+            let n = rng.gen_range(0..=max);
+            (0..n).map(|_| flow(rng)).collect()
+        };
+        let labels = |rng: &mut nocsyn_rng::Rng| -> Vec<String> {
+            let n = rng.gen_range(0..=3usize);
+            (0..n)
+                .map(|_| rng.choose(&LABELS).expect("labels").to_string())
+                .collect()
+        };
+        let pair = |rng: &mut nocsyn_rng::Rng| FlowPair::new(flow(rng), flow(rng));
+        let mut routes = BTreeMap::new();
+        for f in flows(rng, 8) {
+            routes.insert(f, labels(rng));
+        }
+        let mut crossings = BTreeMap::new();
+        for _ in 0..rng.gen_range(0..=4usize) {
+            let ch = rng.choose(&LABELS).expect("labels").to_string();
+            crossings.insert(ch, flows(rng, 4));
+        }
+        let n_witnesses = if rng.gen_bool(0.5) {
+            0
+        } else {
+            rng.gen_range(1..=5usize)
+        };
+        let mut witnesses: Vec<CertWitness> = (0..n_witnesses)
+            .map(|_| CertWitness {
+                pair: pair(rng),
+                shared: labels(rng),
+            })
+            .collect();
+        if let Some(w) = witnesses.first().cloned() {
+            // A duplicate pair with other labels exercises the tie-break.
+            witnesses.push(CertWitness {
+                pair: w.pair,
+                shared: labels(rng),
+            });
+        }
+        let n_cliques = rng.gen_range(0..=4usize);
+        let n_obligations = rng.gen_range(0..=12usize);
+        Certificate {
+            n_procs: 1235,
+            contention_free: rng.gen_bool(0.5),
+            cliques: (0..n_cliques).map(|_| flows(rng, 5)).collect(),
+            obligations: (0..n_obligations).map(|_| pair(rng)).collect(),
+            routes,
+            crossings,
+            witnesses,
+            job: rng.gen_bool(0.5).then(|| crate::sha256(b"job").to_hex()),
+            claimed_binding: None,
+        }
+    }
+
+    #[test]
+    fn streamed_rendering_and_ranked_binding_match_the_oracles() {
+        let mut rng = nocsyn_rng::Rng::seed_from_u64(0xCE57);
+        let mut empty = sample();
+        empty.cliques.clear();
+        empty.obligations.clear();
+        empty.routes.clear();
+        empty.crossings.clear();
+        let fixed = [sample(), empty];
+        for (i, cert) in fixed
+            .into_iter()
+            .chain((0..2000).map(|_| random_cert(&mut rng)))
+            .enumerate()
+        {
+            assert_eq!(cert.binding(), oracle_binding(&cert), "case {i}: {cert:?}");
+            assert_eq!(cert.to_json(), oracle_to_json(&cert), "case {i}: {cert:?}");
+        }
+    }
+
+    #[test]
+    fn prefix_colliding_keys_sort_by_their_rendering() {
+        // `1>2|…` must sort after `1>23|…` and `12>3|…` in the canonical
+        // form, though (1,2) is the numerically smallest flow.
+        let f = Flow::from_indices;
+        let mut cert = sample();
+        cert.n_procs = 24;
+        cert.obligations = vec![
+            FlowPair::new(f(1, 2), f(2, 1)),
+            FlowPair::new(f(1, 23), f(2, 1)),
+            FlowPair::new(f(12, 3), f(2, 1)),
+            FlowPair::new(f(1, 2), f(2, 12)),
+        ];
+        cert.cliques = vec![vec![f(1, 2), f(1, 23)], vec![f(1, 23), f(12, 3)]];
+        assert_eq!(cert.binding(), oracle_binding(&cert));
+        assert_eq!(cert.to_json(), oracle_to_json(&cert));
+    }
+
+    #[test]
+    fn unsorted_or_duplicate_resource_lists_are_rejected() {
+        let limits = ParseLimits::default();
+        let text = sample().to_json();
+        for (from, to) in [
+            ("\"channels\":[\"L0+\"]", "\"channels\":[\"L0+\",\"A\"]"),
+            ("\"channels\":[\"L0+\"]", "\"channels\":[\"L0+\",\"L0+\"]"),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text);
+            let err = Certificate::parse(&bad, &limits).expect_err("must reject");
+            assert_eq!(err, CertError::BadField("channels"));
+        }
+        let ok = text.replacen("\"channels\":[\"L0+\"]", "\"channels\":[\"A\",\"L0+\"]", 1);
+        assert!(Certificate::parse(&ok, &limits).is_ok());
     }
 }

@@ -169,21 +169,45 @@ impl From<String> for JsonValue {
     }
 }
 
-/// Writes `s` as a JSON string literal (with surrounding quotes).
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Writes `s` as a JSON string literal (with surrounding quotes) — the one
+/// escaper behind [`JsonValue`]'s `Display` and every streamed writer.
+///
+/// Runs of bytes that need no escape are copied in one `write_str`.
+///
+/// ```
+/// use nocsyn_model::json::write_escaped;
+/// let mut out = String::new();
+/// write_escaped(&mut out, "a\"b\n").expect("writing to a String cannot fail");
+/// assert_eq!(out, r#""a\"b\n""#);
+/// ```
+///
+/// # Errors
+///
+/// Only what the underlying writer reports.
+pub fn write_escaped<W: fmt::Write + ?Sized>(w: &mut W, s: &str) -> fmt::Result {
+    w.write_str("\"")?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            b if b < 0x20 => None,
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `run..i` and `i + 1` are char
+        // boundaries.
+        w.write_str(&s[run..i])?;
+        match short {
+            Some(escape) => w.write_str(escape)?,
+            None => write!(w, "\\u{:04x}", b)?,
         }
+        run = i + 1;
     }
-    f.write_str("\"")
+    w.write_str(&s[run..])?;
+    w.write_str("\"")
 }
 
 impl fmt::Display for JsonValue {
@@ -616,6 +640,40 @@ mod tests {
     fn strings_escape_specials() {
         let s = JsonValue::from("a\"b\\c\nd\te\u{1}");
         assert_eq!(s.to_string(), r#""a\"b\\c\nd\te\u0001""#);
+    }
+
+    /// The original char-by-char escaper, kept as the oracle of the
+    /// run-copying one.
+    fn oracle_escaped(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn run_copying_escaper_matches_the_oracle() {
+        const ALPHABET: [char; 12] = [
+            'a', 'Z', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '🦀',
+        ];
+        let mut rng = nocsyn_rng::Rng::seed_from_u64(0xE5C);
+        for _ in 0..2000 {
+            let len = rng.gen_range(0..12usize);
+            let s: String = (0..len)
+                .map(|_| *rng.choose(&ALPHABET).expect("alphabet is non-empty"))
+                .collect();
+            assert_eq!(JsonValue::from(s.as_str()).to_string(), oracle_escaped(&s));
+        }
     }
 
     #[test]

@@ -11,9 +11,11 @@
 
 use std::collections::BTreeMap;
 
-use nocsyn_model::{CertWitness, Certificate, CliqueSet, ContentionSet, Digest, Flow};
+use nocsyn_model::{
+    CertWitness, Certificate, CliqueSet, ContentionSet, Digest, Flow, FlowInterner,
+};
 
-use crate::RouteTable;
+use crate::{Channel, RouteTable};
 
 /// Builds the contention-freedom certificate for `routes` against an
 /// application with clique set `cliques` and potential contention set
@@ -32,45 +34,81 @@ pub fn build_certificate(
     routes: &RouteTable,
     job: Option<Digest>,
 ) -> Certificate {
-    let mut route_map: BTreeMap<Flow, Vec<String>> = BTreeMap::new();
-    for (flow, route) in routes.iter() {
-        let chans: Vec<String> = route
-            .channel_set()
-            .iter()
-            .map(|ch| ch.to_string())
-            .collect();
-        let mut chans = chans;
-        chans.sort();
-        chans.dedup();
-        route_map.insert(flow, chans);
+    // Render each distinct channel's label once. Label ids follow label
+    // order, so a route's ascending ids are its sorted label list.
+    let mut channels: Vec<Channel> = routes.iter().flat_map(|(_, r)| r.iter()).collect();
+    channels.sort_unstable();
+    channels.dedup();
+    let mut by_label: Vec<(String, usize)> = channels
+        .iter()
+        .enumerate()
+        .map(|(i, ch)| (ch.to_string(), i))
+        .collect();
+    by_label.sort_unstable();
+    let mut label_of = vec![0u32; channels.len()];
+    for (id, &(_, i)) in by_label.iter().enumerate() {
+        label_of[i] = id as u32;
     }
+    let labels: Vec<String> = by_label.into_iter().map(|(label, _)| label).collect();
 
-    let mut crossings: BTreeMap<String, Vec<Flow>> = BTreeMap::new();
-    for (flow, chans) in &route_map {
-        for ch in chans {
-            // Flows arrive in BTreeMap order, so each crossing list is
-            // already sorted and duplicate-free.
-            crossings.entry(ch.clone()).or_default().push(*flow);
+    let route_ids: Vec<Vec<u32>> = routes
+        .iter()
+        .map(|(_, route)| {
+            let mut ids: Vec<u32> = route
+                .iter()
+                .map(|ch| {
+                    let i = channels
+                        .binary_search(&ch)
+                        .expect("every hop was collected");
+                    label_of[i]
+                })
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        })
+        .collect();
+    let flows = FlowInterner::from_sorted_flows(routes.flows().collect());
+
+    // Routes arrive in flow order, so each crossing list is already
+    // sorted and duplicate-free.
+    let mut inverse: Vec<Vec<Flow>> = vec![Vec::new(); labels.len()];
+    for (&flow, ids) in flows.flows().iter().zip(&route_ids) {
+        for &id in ids {
+            inverse[id as usize].push(flow);
         }
     }
 
     let mut obligations = Vec::new();
     let mut witnesses = Vec::new();
+    let mut shared = Vec::new();
     for pair in contention.iter() {
-        let (Some(ra), Some(rb)) = (route_map.get(&pair.first()), route_map.get(&pair.second()))
-        else {
+        let (Some(a), Some(b)) = (flows.id(pair.first()), flows.id(pair.second())) else {
             continue;
         };
         obligations.push(pair);
-        let shared: Vec<String> = ra
-            .iter()
-            .filter(|ch| rb.binary_search(ch).is_ok())
-            .cloned()
-            .collect();
+        shared_ids(&route_ids[a], &route_ids[b], &mut shared);
         if !shared.is_empty() {
-            witnesses.push(CertWitness { pair, shared });
+            witnesses.push(CertWitness {
+                pair,
+                shared: shared
+                    .iter()
+                    .map(|&id| labels[id as usize].clone())
+                    .collect(),
+            });
         }
     }
+
+    let route_map: BTreeMap<Flow, Vec<String>> = flows
+        .flows()
+        .iter()
+        .zip(&route_ids)
+        .map(|(&flow, ids)| {
+            let chans = ids.iter().map(|&id| labels[id as usize].clone()).collect();
+            (flow, chans)
+        })
+        .collect();
+    let crossings: BTreeMap<String, Vec<Flow>> = labels.into_iter().zip(inverse).collect();
 
     Certificate {
         n_procs,
@@ -82,6 +120,23 @@ pub fn build_certificate(
         witnesses,
         job: job.map(|d| d.to_hex()),
         claimed_binding: None,
+    }
+}
+
+/// Writes the ids two ascending id lists share into `out`, ascending.
+fn shared_ids(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
     }
 }
 
